@@ -54,7 +54,10 @@ def _load_scenario(args) -> Scenario:
         raise ConfigurationError("exactly one of --scenario and --preset is required")
     if args.scenario is not None:
         return parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise ConfigurationError("--params must be a JSON object")
     return make_preset(args.preset, **params)

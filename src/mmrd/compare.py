@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverFailure
+from .errors import ConfigurationError, InvariantViolation, SolverFailure
 from .graphs import DominationVerdict, dominates
 from .mesh import positive_part_l2, sup_norm
 from .reactions import OrderVerdict, ScResult, check_order_F, check_sc, lipschitz_bound
@@ -287,6 +287,11 @@ def run_pair(
                 break
             except SolverFailure:
                 dt *= 0.5
+            except InvariantViolation as exc:
+                r1.status = r2.status = "solver_failure"
+                r1.note = r2.note = str(exc)
+                failed = "invariant"
+                break
         if failed:
             break
         if not (np.all(np.isfinite(new1)) and np.all(np.isfinite(new2))):

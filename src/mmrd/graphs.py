@@ -9,10 +9,13 @@ power-law flux, their one-sided extensions to ``[0, inf)``, and obstacle
 graphs); general multivalued behaviour in the interior is out of scope.
 
 The central operation is the resolvent ``r -> x`` solving
-``x + lam * gamma(x) ∋ r``, available in closed form for the built-in
-kinds and by monotone bisection otherwise, including for weighted sums of
-several graphs (needed by boundary rows of the implicit stepper, where the
-interior and boundary graphs act on the same node).
+``x + lam * gamma(x) ∋ r``, also for weighted sums of several graphs
+(needed by boundary rows of the implicit stepper, where the interior and
+boundary graphs act on the same node).  Every built-in kind is a smooth odd
+part (zero, linear or power) plus the indicator of its domain, so any
+weighted sum of them is solved in closed form or by a safeguarded Newton
+iteration on the smooth part, then clipped to the common domain.  Only sums
+that involve a ``custom`` graph go through monotone bisection.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ __all__ = [
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
-# Kinds whose resolvents / value sets are known in closed form.  Domination
-# verdicts are only certified (as opposed to "inconclusive") for these.
+# Kinds whose resolvents / value sets are known in closed form.  Weighted
+# sums of these are resolved without bisection, and domination verdicts are
+# only certified (as opposed to "inconclusive") for these.
 CLOSED_FORM_KINDS = frozenset(
     {"zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle"}
 )
@@ -298,6 +302,68 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndarray:
+    """Solve xi + sum_j beta_j * xi^(q_j-1) = t for xi >= 0, elementwise (t >= 0).
+
+    Newton from xi = t inside the bracket [0, t], which holds the root; a
+    step that leaves the current bracket or lands on 0 (terms with q < 2
+    have unbounded slope there) is replaced by bisection of the bracket.
+    """
+    lo = np.zeros_like(t)
+    hi = t.copy()
+    xi = t.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BISECT_MAX_ITER):
+            f = xi - t
+            df = np.ones_like(xi)
+            for beta, q in powers:
+                f += beta * xi ** (q - 1.0)
+                df += beta * (q - 1.0) * xi ** (q - 2.0)
+            lo = np.where(f <= 0.0, xi, lo)
+            hi = np.where(f >= 0.0, xi, hi)
+            xi_new = xi - f / df
+            inside = (xi_new >= lo) & (xi_new <= hi) & (xi_new > 0.0)
+            xi_new = np.where(inside, xi_new, 0.5 * (lo + hi))
+            done = np.all(np.abs(xi_new - xi) <= BISECT_TOL * xi)
+            xi = xi_new
+            if done:
+                break
+    return xi
+
+
+def _resolve_closed_form(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]) -> np.ndarray:
+    """Resolvent of a weighted sum of closed-form graphs.
+
+    Each kind is a smooth odd part (zero, linear slope, or power (alpha, q))
+    plus the indicator of its domain: R, [0, inf), {0} or [-level, level].
+    The sum is the smooth sum plus the indicator of the common domain
+    [lo, hi], and every finite endpoint of [lo, hi] carries a vertical
+    segment of some term, so in 1D the resolvent is the resolvent of the
+    smooth sum clipped to [lo, hi].
+    """
+    lo = max(G.domain_lo for _, G in terms)
+    hi = min(G.domain_hi for _, G in terms)
+    if lo > hi:
+        raise ConfigurationError("graphs with disjoint domains combined in one inclusion")
+    c = 1.0
+    powers: dict[float, float] = {}
+    for lam, G in terms:
+        if G.kind == "linear":
+            c += lam * G.params[0]
+        elif G.kind in ("power", "extended_power") and G.params[0] > 0.0:
+            alpha, q = G.params
+            powers[q] = powers.get(q, 0.0) + lam * alpha
+    t = np.abs(r) / c
+    if not powers:
+        xi = t
+    elif len(powers) == 1:
+        ((q, beta),) = powers.items()
+        xi = _power_root(t, beta / c, q)
+    else:
+        xi = _power_sum_root(t, [(beta / c, q) for q, beta in powers.items()])
+    return np.clip(np.sign(r) * xi, lo, hi)
+
+
 def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[float, MonotoneGraph]]:
     merged: list[tuple[float, MonotoneGraph]] = []
     for lam, G in terms:
@@ -317,9 +383,12 @@ def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[flo
 def resolve_terms(r, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray:
     """Solve x + sum_i lam_i * gamma_i(x) ∋ r elementwise.
 
-    ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0.  Raises
-    InvariantViolation when some entry of ``r`` is not attained (the graph
-    sum is then not a maximal monotone representation).
+    ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0.  Sums of
+    built-in kinds are solved without bisection (see
+    ``_resolve_closed_form``); a sum with a ``custom`` graph is solved by
+    monotone bisection and raises InvariantViolation when some entry of
+    ``r`` is not attained (the graph sum is then not a maximal monotone
+    representation).
     """
     r = np.asarray(r, dtype=float)
     terms = _merge_terms(terms)
@@ -342,6 +411,8 @@ def resolve_terms(r, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray
         if k == "extended_power":
             alpha, q = G.params
             return np.where(r <= 0.0, 0.0, _power_root(np.maximum(r, 0.0), lam * alpha, q))
+    if all(G.kind in CLOSED_FORM_KINDS for _, G in terms):
+        return _resolve_closed_form(r, terms)
     return _resolve_generic(r, terms)
 
 

@@ -18,6 +18,7 @@ returned Lipschitz constant is taken over the full symmetric box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -184,14 +185,23 @@ def check_order_F(
     )
 
 
+def _power_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def ell(F: Reaction, r: float, samples: int = 65) -> float:
-    """Growth envelope r + sup{|F(tau)| : |tau|_inf <= r} (closed forms where known)."""
+    """Growth envelope r + sup{|F(tau)| : |tau|_inf <= r} (closed forms where
+    known); inf when it overflows."""
     if r < 0:
         raise ConfigurationError(f"ell needs r >= 0, got {r}")
     if F.kind == "zero":
         return r
     if F.kind == "power":
-        return r + r ** (F.p - 1.0)
+        return r + _power_or_inf(r, F.p - 1.0)
     if F.kind == "nuclear":
         return F.a * r + r * r
     U = _sample_box(F.m, -r, r, samples if F.m == 1 else min(samples, 17))
@@ -199,12 +209,13 @@ def ell(F: Reaction, r: float, samples: int = 65) -> float:
 
 
 def lipschitz_bound(F: Reaction, box_radius: float) -> float:
-    """Bound on all |dF^k/du_j| over |U|_inf <= box_radius (closed forms where known)."""
+    """Bound on all |dF^k/du_j| over |U|_inf <= box_radius (closed forms where
+    known); inf when it overflows."""
     M = max(box_radius, 0.0)
     if F.kind == "zero":
         return 0.0
     if F.kind == "power":
-        return (F.p - 1.0) * M ** (F.p - 2.0)
+        return (F.p - 1.0) * _power_or_inf(M, F.p - 2.0)
     if F.kind == "nuclear":
         return max(F.a, F.b + M, M)
     res = check_sc(F, max(M, 1e-8), samples=9)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverFailure
+from .errors import ConfigurationError, InvariantViolation, SolverFailure
 from .graphs import MonotoneGraph, resolve_terms
 from .mesh import Mesh, sup_norm
 from .reactions import Reaction, ell, eval_reaction, lipschitz_bound
@@ -281,7 +281,8 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float) -> np.ndarray:
 
 def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -> float:
     """Next trial step: capped by dt_init, gentle growth, the reaction growth
-    envelope and the local Lipschitz bound of the reaction."""
+    envelope and the local Lipschitz bound of the reaction.  A bound that
+    overflows to inf gives dt = 0, which the drivers report as a collapse."""
     sup_total = float(sum(sup_norm(S[k]) for k in range(P.m)))
     box = float(max(sup_norm(S[k]) for k in range(P.m)))
     dt = min(tc.dt_init, 2.0 * dt_prev)
@@ -376,6 +377,11 @@ def run(
                 break
             except SolverFailure:
                 dt *= 0.5
+            except InvariantViolation as exc:
+                # a smaller dt cannot make a non-maximal graph sum solvable
+                r.status = "solver_failure"
+                r.note = str(exc)
+                return r.finish()
         if not np.all(np.isfinite(new)):
             r.state = np.nan_to_num(new, nan=tc.blowup_threshold, posinf=tc.blowup_threshold,
                                     neginf=-tc.blowup_threshold)

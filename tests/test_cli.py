@@ -255,3 +255,17 @@ def test_cli_config_error_exit_1(tmp_path):
     scen.write_text("{not json", encoding="utf-8")
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 1
     assert main(["run", "--preset", "no_such_preset", "--out", str(tmp_path / "out")]) == 1
+
+
+def test_cli_bad_params_json_exit_1(tmp_path, capsys):
+    code = main(["run", "--preset", "Pp_power", "--params", "{bad", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "--params is not valid JSON" in capsys.readouterr().err
+
+
+def test_cli_overflowing_initial_data_exit_solver_failure(tmp_path):
+    # the growth envelope of u0 = 1e300 * phi1 overflows; the run collapses
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "Pp_power", "--params", '{"c": 1e300, "n": 21}', "--out", str(out)])
+    assert code == 5
+    assert json.loads((out / "summary.json").read_text())["status"] == "solver_failure"

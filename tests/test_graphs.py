@@ -27,8 +27,9 @@ from mmrd import (
     yosida,
     zero_graph,
 )
-from mmrd.graphs import custom_graph
-from oracles import oracle_resolvent
+from mmrd import graphs
+from mmrd.graphs import custom_graph, resolve_terms
+from oracles import oracle_resolve_terms, oracle_resolvent
 
 
 LIBRARY_GRAPHS = {
@@ -235,6 +236,63 @@ def test_graph_relation_monotone_on_samples():
         zs = np.asarray(G.g(rs))
         d = (zs[:, None] - zs[None, :]) * (rs[:, None] - rs[None, :])
         assert d.min() >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# weighted sums of graphs
+# ---------------------------------------------------------------------------
+
+KINDS = ("zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle")
+KIND_COMBOS = [(k1, k2) for k1 in KINDS for k2 in KINDS] + [
+    ("obstacle", k1, k2) for k1 in KINDS for k2 in KINDS
+]
+
+graph_params = st.fixed_dictionaries(
+    {
+        "alpha": st.floats(0.0, 5.0),
+        # repeated exponents merge, and q = 2, 3 take the quadratic closed forms
+        "q": st.sampled_from([1.5, 2.0, 2.5, 3.0]) | st.floats(1.1, 4.0),
+        "level": st.floats(0.05, 5.0),
+        "slope": st.floats(0.0, 5.0),
+    }
+)
+
+
+def _sum_terms(kinds, params, weights):
+    return [(lam, make_graph(GraphSpec(k, **p))) for k, p, lam in zip(kinds, params, weights)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kinds=st.sampled_from(KIND_COMBOS),
+    params=st.lists(graph_params, min_size=3, max_size=3),
+    weights=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3),
+    rs=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+)
+def test_resolve_terms_sums_match_oracle(kinds, params, weights, rs):
+    terms = _sum_terms(kinds, params, weights)
+    got = resolve_terms(np.asarray(rs), terms)
+    for r, x in zip(rs, got):
+        assert x == pytest.approx(oracle_resolve_terms(terms, r), abs=1e-10)
+
+
+def test_resolve_terms_builtin_sums_skip_bisection(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built-in graph sum reached the bisection resolvent")
+
+    monkeypatch.setattr(graphs, "_resolve_generic", forbidden)
+    params = [
+        {"alpha": 1.0, "q": 1.5, "level": 0.7, "slope": 2.0},
+        {"alpha": 0.5, "q": 3.0, "level": 2.0, "slope": 0.5},
+        {"alpha": 2.0, "q": 2.5, "level": 1.0, "slope": 1.0},
+    ]
+    rs = np.linspace(-6.0, 6.0, 25)
+    for kinds in KIND_COMBOS:
+        terms = _sum_terms(kinds, params, (0.3, 2.0, 1.1))
+        x = resolve_terms(rs, terms)
+        assert np.all(np.diff(x) >= 0.0), kinds
+        for r, xi in zip(rs[::6], x[::6]):
+            assert xi == pytest.approx(oracle_resolve_terms(terms, r), abs=1e-10), kinds
 
 
 # ---------------------------------------------------------------------------

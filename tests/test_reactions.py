@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,13 @@ def test_ell_closed_forms():
     assert ell(nuclear_reaction(1.0, 1.0), 3.0) == pytest.approx(12.0)
     assert ell(power_reaction(4.0), 0.0) == 0.0
     assert ell(zero_reaction(), 5.0) == pytest.approx(5.0)
+
+
+def test_ell_and_lipschitz_bound_overflow_to_inf():
+    F = power_reaction(3.0)
+    assert ell(F, 1e300) == math.inf
+    assert lipschitz_bound(power_reaction(4.0), 1e300) == math.inf
+    assert ell(F, 1e100) == pytest.approx(1e200)
 
 
 def test_ell_custom_sampled():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from mmrd.graphs import (
+    custom_graph,
     dirichlet_graph,
     extended_neumann_graph,
     extended_power_graph,
@@ -13,6 +16,7 @@ from mmrd.graphs import (
     zero_graph,
 )
 from mmrd.mesh import build_mesh, sup_norm
+from mmrd.scenarios import build_problem, make_preset
 from mmrd.reactions import (
     custom_reaction,
     nuclear_reaction,
@@ -184,6 +188,26 @@ def test_run_nuclear_a_zero_growth_bound():
     assert traj.status == "completed"
     bound = np.exp(traj.times)  # ||u10|| * exp(||u20|| t)
     assert np.all(traj.sup_norms[:, 0] <= 1.05 * bound)
+
+
+def test_run_reports_overflowing_envelope_as_collapse():
+    problem, tc = build_problem(make_preset("Pp_power", n=21, c=1e300))
+    traj = run(problem, tc)
+    assert isinstance(traj, Trajectory)
+    assert traj.status == "solver_failure"
+    assert "collapsed" in traj.note
+
+
+def test_run_reports_unsolvable_inclusion_as_solver_failure():
+    # domain [0, inf) without a segment at 0 is not maximal: the reaction
+    # pushes r below 0, where the inclusion has no solution
+    G = custom_graph(lambda r: np.zeros_like(r), 0.0, math.inf, seg_lo=False)
+    P = scalar_problem(n=11, reaction=custom_reaction(1, lambda U: -np.ones_like(U)),
+                       interior=G, u0=lambda x: np.zeros_like(x))
+    traj = run(P, TimeControl(t_end=0.1))
+    assert traj.status == "solver_failure"
+    assert "no solution" in traj.note
+    assert len(traj.times) == 1
 
 
 def test_positivity_preserved_for_nonnegative_data():
