@@ -218,6 +218,8 @@ class ComparisonReport:
             v = detect_blowup(traj)
             if v.kind == "blowup":
                 lines.append(f"{name} run: blow-up, T_b ~ {v.t_blowup:.6g} (ci {v.ci_width:.2g})")
+            elif traj.status == "solver_failure":
+                lines.append(f"{name} run: solver_failure ({traj.note})")
             else:
                 lines.append(f"{name} run: {traj.status}")
         return lines
@@ -348,7 +350,7 @@ def run_pair(
     tol_order = 1e-6 + 10.0 * (h2 + dtmax) * (1.0 + smax)
     return ComparisonReport(
         assumptions, times, dts, defects, margins, start, traj1, traj2,
-        tol_order, tol_order**2,
+        tol_order, tol_order * tol_order,  # inf, not OverflowError, on huge states
     )
 
 

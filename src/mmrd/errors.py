@@ -10,7 +10,7 @@ class InvariantViolation(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The nonlinear solve did not converge.  Carries the last sweep residual."""
+    """The nonlinear solve did not converge.  Carries its last residual."""
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)

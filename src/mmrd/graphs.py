@@ -46,6 +46,7 @@ __all__ = [
     "minimal_section",
     "resolvent",
     "resolve_terms",
+    "resolvent_slope",
     "yosida",
     "dominates",
 ]
@@ -331,16 +332,10 @@ def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndar
     return xi
 
 
-def _resolve_closed_form(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]) -> np.ndarray:
-    """Resolvent of a weighted sum of closed-form graphs.
-
-    Each kind is a smooth odd part (zero, linear slope, or power (alpha, q))
-    plus the indicator of its domain: R, [0, inf), {0} or [-level, level].
-    The sum is the smooth sum plus the indicator of the common domain
-    [lo, hi], and every finite endpoint of [lo, hi] carries a vertical
-    segment of some term, so in 1D the resolvent is the resolvent of the
-    smooth sum clipped to [lo, hi].
-    """
+def _smooth_split(terms: list[tuple[float, MonotoneGraph]]):
+    """Split a weighted sum of closed-form graphs into its common domain
+    [lo, hi], the leading coefficient c = 1 + sum of lam * linear slope and
+    the power part {q: sum of lam * alpha}."""
     lo = max(G.domain_lo for _, G in terms)
     hi = min(G.domain_hi for _, G in terms)
     if lo > hi:
@@ -353,6 +348,20 @@ def _resolve_closed_form(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]
         elif G.kind in ("power", "extended_power") and G.params[0] > 0.0:
             alpha, q = G.params
             powers[q] = powers.get(q, 0.0) + lam * alpha
+    return lo, hi, c, powers
+
+
+def _resolve_closed_form(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]) -> np.ndarray:
+    """Resolvent of a weighted sum of closed-form graphs.
+
+    Each kind is a smooth odd part (zero, linear slope, or power (alpha, q))
+    plus the indicator of its domain: R, [0, inf), {0} or [-level, level].
+    The sum is the smooth sum plus the indicator of the common domain
+    [lo, hi], and every finite endpoint of [lo, hi] carries a vertical
+    segment of some term, so in 1D the resolvent is the resolvent of the
+    smooth sum clipped to [lo, hi].
+    """
+    lo, hi, c, powers = _smooth_split(terms)
     t = np.abs(r) / c
     if not powers:
         xi = t
@@ -362,6 +371,28 @@ def _resolve_closed_form(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]
     else:
         xi = _power_sum_root(t, [(beta / c, q) for q, beta in powers.items()])
     return np.clip(np.sign(r) * xi, lo, hi)
+
+
+def resolvent_slope(x, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray:
+    """Derivative dx/dr of the resolvent of ``resolve_terms``, given its
+    value x: 1 / (1 + sum_i lam_i * g_i'(x)) where x lies strictly inside
+    the common domain, 0 where it was clipped to an endpoint.
+
+    This is an element of the generalised (Clarke) derivative, as used by a
+    semismooth Newton solve.  Sums with a ``custom`` graph get slope 0.
+    """
+    x = np.asarray(x, dtype=float)
+    terms = _merge_terms(terms)
+    if not terms:
+        return np.ones_like(x)
+    if not all(G.kind in CLOSED_FORM_KINDS for _, G in terms):
+        return np.zeros_like(x)
+    lo, hi, c, powers = _smooth_split(terms)
+    denom = np.full_like(x, c)
+    with np.errstate(divide="ignore"):  # |x|^(q-2) is infinite at 0 when q < 2
+        for q, beta in powers.items():
+            denom += beta * (q - 1.0) * np.abs(x) ** (q - 2.0)
+    return np.where((x > lo) & (x < hi), 1.0 / denom, 0.0)
 
 
 def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[float, MonotoneGraph]]:

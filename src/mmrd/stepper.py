@@ -6,12 +6,13 @@ solves, per component,
     u - dt * a * Lap_h u + dt * beta(u)  ∋  u_old + dt * F(U_old),
 
 with the boundary rows closed through the ghost-node flux inclusion
--a * d_nu u in gamma(u).  The solve is a colored nonlinear Gauss-Seidel
-iteration whose nodal updates are scalar resolvent applications: graphs
-enter only through ``graphs.resolve_terms``.  This keeps every node inside
-the graph domains at every sweep, which is what makes constant states exact
-equilibria, nonnegative data stay nonnegative, and ordered states stay
-ordered.
+-a * d_nu u in gamma(u).  Divided by its diagonal c, each row is the nodal
+fixed point u = R((rhs + N u) / c), with N the neighbour sum and R the
+scalar resolvent of the node's graphs (``graphs.resolve_terms``).  One
+semismooth Newton solve of this fixed point serves 1D and 2D.  It returns
+R itself, so every node lies inside the graph domains exactly, which is
+what makes constant states exact equilibria, nonnegative data stay
+nonnegative, and ordered states stay ordered.
 
 Time steps adapt to the reaction strength: dt is capped by
 safety / ell(sup norm) and safety / L_local, halved when the nonlinear
@@ -23,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv
 
 from .errors import ConfigurationError, InvariantViolation, SolverFailure
-from .graphs import MonotoneGraph, resolve_terms
+from .graphs import MonotoneGraph, resolve_terms, resolvent_slope
 from .mesh import Mesh, sup_norm
 from .reactions import Reaction, ell, eval_reaction, lipschitz_bound
 
@@ -42,8 +45,8 @@ __all__ = [
     "local_existence_horizon",
 ]
 
-SWEEP_TOL = 1e-10
-MAX_SWEEPS = 500
+SOLVE_TOL = 1e-10
+MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -144,133 +147,109 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _solve_component_1d(
+@lru_cache(maxsize=16)
+def _stencil(mesh: Mesh):
+    """Ghost-node stencil on flattened (C-order) node indices.
+
+    ``axes``: (stride, up, down) per axis, where up[p] / down[p] weigh
+    u[p + stride] / u[p - stride] in row p (2 on boundary rows, where the
+    ghost node mirrors the inner one; 0 across the edge).  ``classes``:
+    (flux, idx), flux = 2 * sum of 1/h over the boundaries that nodes idx lie on.
+    """
+    shape = mesh.shape
+    flux = np.zeros(shape)
+    axes = []
+    for ax, h in enumerate(mesh.spacing):
+        up, down = np.ones(shape), np.ones(shape)
+        u_ax, d_ax, f_ax = (np.moveaxis(arr, ax, 0) for arr in (up, down, flux))
+        u_ax[0], u_ax[-1] = 2.0, 0.0
+        d_ax[0], d_ax[-1] = 0.0, 2.0
+        f_ax[0] += 2.0 / h
+        f_ax[-1] += 2.0 / h
+        axes.append((int(np.prod(shape[ax + 1 :])), up.ravel(), down.ravel()))
+    flux = flux.ravel()
+    classes = tuple((float(w), np.flatnonzero(flux == w)) for w in np.unique(flux))
+    return tuple(axes), classes
+
+
+def _solve_component(
     u: np.ndarray,
     rhs: np.ndarray,
-    mu: float,
-    dt: float,
-    h: float,
-    beta: MonotoneGraph,
-    gamma: MonotoneGraph,
-) -> tuple[np.ndarray, float]:
-    """Gauss-Seidel sweeps for one component in 1D; returns (state, last change)."""
-    c_int = 1.0 + 2.0 * mu
-    c_bnd = 1.0 + 2.0 * mu
-    int_terms = [(dt / c_int, beta)]
-    bnd_terms = [(dt / c_bnd, beta), (2.0 * dt / (h * c_bnd), gamma)]
-    even = slice(1, -1, 2)  # interior nodes 1, 3, ...
-    odd = slice(2, -1, 2)
-    change = math.inf
-    for _ in range(MAX_SWEEPS):
-        change = 0.0
-        for sl in (even, odd):
-            left = u[sl.start - 1 : -2 : 2]
-            right = u[sl.start + 1 :: 2]
-            q = (rhs[sl] + mu * (left + right)) / c_int
-            new = resolve_terms(q, int_terms)
-            change = max(change, float(np.max(np.abs(new - u[sl]), initial=0.0)))
-            u[sl] = new
-        q0 = np.asarray([(rhs[0] + 2.0 * mu * u[1]) / c_bnd, (rhs[-1] + 2.0 * mu * u[-2]) / c_bnd])
-        new = resolve_terms(q0, bnd_terms)
-        change = max(change, float(np.max(np.abs(new - u[[0, -1]]))))
-        u[0], u[-1] = new
-        if change <= SWEEP_TOL:
-            return u, change
-    raise SolverFailure(f"Gauss-Seidel stalled: change {change:.3e} after {MAX_SWEEPS} sweeps", change)
+    c: float,
+    coupling: list[tuple[int, np.ndarray, np.ndarray]],
+    classes: list[tuple[np.ndarray, list]],
+) -> np.ndarray:
+    """Semismooth Newton on Phi(u) = u - R((rhs + N u) / c) for one component.
 
+    ``coupling`` holds (stride, up, down) neighbour weights of N and
+    ``classes`` the (node indices, resolvent terms) of each node class.  The
+    generalised Jacobian I - diag(R') N / c is an M-matrix with bandwidth
+    max(stride); a step that does not lower max|Phi| is replaced by the
+    fixed-point step u <- R(q), a max-norm contraction.  Returns R itself,
+    so every node lies in its graph domains exactly.
+    """
+    n = u.size
+    bw = max(s for s, _, _ in coupling)
+    ab = np.empty((3 * bw + 1, n), order="F")  # dgbsv layout: bw rows of LU fill-in on top
 
-def _solve_component_2d(
-    u: np.ndarray,
-    rhs: np.ndarray,
-    mux: float,
-    muy: float,
-    dt: float,
-    hx: float,
-    hy: float,
-    beta: MonotoneGraph,
-    gamma: MonotoneGraph,
-    parity: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, float]:
-    c = 1.0 + 2.0 * (mux + muy)
-    int_terms = [(dt / c, beta)]
-    face_x = [(dt / c, beta), (2.0 * dt / (hx * c), gamma)]
-    face_y = [(dt / c, beta), (2.0 * dt / (hy * c), gamma)]
-    corner = [(dt / c, beta), (2.0 * dt * (1.0 / hx + 1.0 / hy) / c, gamma)]
-    change = math.inf
-    for _ in range(MAX_SWEEPS):
-        change = 0.0
-        # interior checkerboard
-        for mask in parity:
-            q = (
-                rhs[1:-1, 1:-1]
-                + mux * (u[:-2, 1:-1] + u[2:, 1:-1])
-                + muy * (u[1:-1, :-2] + u[1:-1, 2:])
-            ) / c
-            new = resolve_terms(q, int_terms)
-            diff = np.abs(new - u[1:-1, 1:-1])[mask]
-            if diff.size:
-                change = max(change, float(diff.max()))
-            u[1:-1, 1:-1][mask] = new[mask]
-        # faces (excluding corners)
-        for sl, nb, terms in (
-            ((0, slice(1, -1)), lambda: 2.0 * mux * u[1, 1:-1] + muy * (u[0, :-2] + u[0, 2:]), face_x),
-            ((-1, slice(1, -1)), lambda: 2.0 * mux * u[-2, 1:-1] + muy * (u[-1, :-2] + u[-1, 2:]), face_x),
-            ((slice(1, -1), 0), lambda: 2.0 * muy * u[1:-1, 1] + mux * (u[:-2, 0] + u[2:, 0]), face_y),
-            ((slice(1, -1), -1), lambda: 2.0 * muy * u[1:-1, -2] + mux * (u[:-2, -1] + u[2:, -1]), face_y),
-        ):
-            q = (rhs[sl] + nb()) / c
-            new = resolve_terms(q, terms)
-            change = max(change, float(np.max(np.abs(new - u[sl]), initial=0.0)))
-            u[sl] = new
-        # corners
-        qc = np.asarray(
-            [
-                rhs[0, 0] + 2.0 * (mux * u[1, 0] + muy * u[0, 1]),
-                rhs[-1, 0] + 2.0 * (mux * u[-2, 0] + muy * u[-1, 1]),
-                rhs[0, -1] + 2.0 * (mux * u[1, -1] + muy * u[0, -2]),
-                rhs[-1, -1] + 2.0 * (mux * u[-2, -1] + muy * u[-1, -2]),
-            ]
-        ) / c
-        new = resolve_terms(qc, corner)
-        old = np.asarray([u[0, 0], u[-1, 0], u[0, -1], u[-1, -1]])
-        change = max(change, float(np.max(np.abs(new - old))))
-        u[0, 0], u[-1, 0], u[0, -1], u[-1, -1] = new
-        if change <= SWEEP_TOL:
-            return u, change
-    raise SolverFailure(f"Gauss-Seidel stalled: change {change:.3e} after {MAX_SWEEPS} sweeps", change)
+    def resolve(v):
+        q = rhs.copy()
+        for s, up, down in coupling:
+            q[:-s] += up[:-s] * v[s:]
+            q[s:] += down[s:] * v[:-s]
+        q /= c
+        x = np.empty_like(q)
+        for idx, terms in classes:
+            x[idx] = resolve_terms(q[idx], terms)
+        return x, float(np.abs(v - x).max())
 
-
-def _parity_masks(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    ii, jj = np.meshgrid(
-        np.arange(1, shape[0] - 1), np.arange(1, shape[1] - 1), indexing="ij"
+    x, res = resolve(u)
+    for _ in range(MAX_ITER):
+        if not res > SOLVE_TOL * max(1.0, float(np.abs(x).max())):
+            return x  # converged, or non-finite: the driver classifies it
+        slope = np.empty(n)
+        for idx, terms in classes:
+            slope[idx] = resolvent_slope(x[idx], terms)
+        ab[bw:] = 0.0
+        ab[2 * bw] = 1.0
+        for s, up, down in coupling:
+            ab[2 * bw - s, s:] = -slope[:-s] * up[:-s] / c
+            ab[2 * bw + s, :-s] = -slope[s:] * down[s:] / c
+        _, _, delta, info = dgbsv(bw, bw, ab, x - u, overwrite_ab=1, overwrite_b=1)
+        if info == 0:
+            v = u + delta
+            x_v, res_v = resolve(v)
+            if res_v < res:
+                u, x, res = v, x_v, res_v
+                continue
+        u = x
+        x, res = resolve(u)
+    raise SolverFailure(
+        f"semismooth Newton stalled: residual {res:.3e} after {MAX_ITER} iterations", res
     )
-    even = (ii + jj) % 2 == 0
-    return even, ~even
 
 
 def step(P: ProblemSpec, S: np.ndarray, dt: float) -> np.ndarray:
-    """One backward-Euler step; raises SolverFailure when the sweeps stall."""
+    """One backward-Euler step; raises SolverFailure when the Newton solve stalls."""
     if dt <= 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
     S = np.asarray(S, dtype=float)
     F = eval_reaction(P.reaction, S)
     new = np.empty_like(S)
     mesh = P.mesh
-    parity = _parity_masks(mesh.shape) if mesh.dim == 2 else None
+    axes, node_classes = _stencil(mesh)
     for k in range(P.m):
-        rhs = S[k] + dt * F[k]
-        u = S[k].copy()
-        if mesh.dim == 1:
-            (h,) = mesh.spacing
-            mu = P.diffusion[k] * dt / h**2
-            new[k], _ = _solve_component_1d(u, rhs, mu, dt, h, P.interior[k], P.boundary[k])
-        else:
-            hx, hy = mesh.spacing
-            a = P.diffusion[k]
-            new[k], _ = _solve_component_2d(
-                u, rhs, a * dt / hx**2, a * dt / hy**2, dt, hx, hy,
-                P.interior[k], P.boundary[k], parity,
-            )
+        a = P.diffusion[k]
+        mus = [a * dt / h**2 for h in mesh.spacing]
+        c = 1.0 + 2.0 * sum(mus)
+        coupling = [(s, mu * up, mu * down) for (s, up, down), mu in zip(axes, mus)]
+        beta, gamma = P.interior[k], P.boundary[k]
+        classes = [
+            (idx, [(dt / c, beta), (dt * w / c, gamma)] if w else [(dt / c, beta)])
+            for w, idx in node_classes
+        ]
+        rhs = (S[k] + dt * F[k]).ravel()
+        new[k] = _solve_component(S[k].ravel(), rhs, c, coupling, classes).reshape(mesh.shape)
     return new
 
 
@@ -279,19 +258,25 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _dt_bounds(P: ProblemSpec, S: np.ndarray) -> dict[str, float]:
+    """The reaction bounds that cap dt, by name: the growth envelope at the
+    summed sup norm and the Lipschitz bound on the max-norm box."""
+    sup_total = float(sum(sup_norm(S[k]) for k in range(P.m)))
+    box = float(max(sup_norm(S[k]) for k in range(P.m)))
+    return {
+        f"growth envelope ell({sup_total:.6g})": ell(P.reaction, sup_total),
+        f"Lipschitz bound on the box of radius {box:.6g}": lipschitz_bound(P.reaction, box),
+    }
+
+
 def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -> float:
     """Next trial step: capped by dt_init, gentle growth, the reaction growth
     envelope and the local Lipschitz bound of the reaction.  A bound that
     overflows to inf gives dt = 0, which the drivers report as a collapse."""
-    sup_total = float(sum(sup_norm(S[k]) for k in range(P.m)))
-    box = float(max(sup_norm(S[k]) for k in range(P.m)))
     dt = min(tc.dt_init, 2.0 * dt_prev)
-    envelope = ell(P.reaction, sup_total)
-    if envelope > 0:
-        dt = min(dt, tc.safety / envelope)
-    lip = lipschitz_bound(P.reaction, box)
-    if lip > 0:
-        dt = min(dt, tc.safety / lip)
+    for bound in _dt_bounds(P, S).values():
+        if bound > 0:
+            dt = min(dt, tc.safety / bound)
     return dt
 
 
@@ -330,9 +315,14 @@ class _AdaptiveRun:
         return len(self.sups) >= 2 and self.overall_sup(-1) > self.overall_sup(-2)
 
     def classify_collapse(self) -> None:
+        bounds = _dt_bounds(self.problem, self.state)
+        overflowed = [name for name, bound in bounds.items() if math.isinf(bound)]
         if self.increasing():
             self.status = "blowup"
             self.note = "dt collapsed below dt_min while the sup norm was increasing"
+        elif overflowed:
+            self.status = "solver_failure"
+            self.note = f"dt collapsed to 0: the {' and the '.join(overflowed)} overflowed to inf"
         else:
             self.status = "solver_failure"
             self.note = "dt collapsed below dt_min without sup-norm growth"

@@ -87,3 +87,45 @@ def oracle_resolve_terms(terms, r, tol=1e-13, max_iter=400):
         else:
             a = mid
     return 0.5 * (a + b)
+
+
+def oracle_step_residual(P, S, dt, U):
+    """Largest distance from a nodal value of ``U`` to the scalar resolvent
+    of its backward-Euler row, over all components and nodes.
+
+    Row of node i: (1 + sum_axes 2 mu) u_i - sum_axes mu (u_lo + u_hi)
+    + dt beta(u_i) + dt (sum over boundary axes of 2/h) gamma(u_i)
+    ∋ S_i + dt F_i(S), with mu = a dt / h^2 and a missing neighbour replaced
+    by the mirror-image (ghost) node.  Freezing the neighbours and solving
+    the node's inclusion by bisection gives the resolvent value; U solves
+    the step exactly when every nodal value equals it.
+    """
+    import numpy as np
+
+    from mmrd.reactions import eval_reaction
+
+    F = eval_reaction(P.reaction, S)
+    shape = P.mesh.shape
+    worst = 0.0
+    for k in range(P.m):
+        a = P.diffusion[k]
+        u = U[k]
+        for node in np.ndindex(*shape):
+            c = 1.0
+            nb = 0.0
+            flux = 0.0
+            for ax, h in enumerate(P.mesh.spacing):
+                mu = a * dt / h**2
+                i, n = node[ax], shape[ax]
+                lo = node[:ax] + (i - 1 if i > 0 else i + 1,) + node[ax + 1 :]
+                hi = node[:ax] + (i + 1 if i < n - 1 else i - 1,) + node[ax + 1 :]
+                c += 2.0 * mu
+                nb += mu * (float(u[lo]) + float(u[hi]))
+                if i in (0, n - 1):
+                    flux += 2.0 / h
+            r = (float(S[k][node]) + dt * float(F[k][node]) + nb) / c
+            terms = [(dt / c, P.interior[k])]
+            if flux:
+                terms.append((dt * flux / c, P.boundary[k]))
+            worst = max(worst, abs(float(u[node]) - oracle_resolve_terms(terms, r)))
+    return worst

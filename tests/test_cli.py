@@ -269,3 +269,23 @@ def test_cli_overflowing_initial_data_exit_solver_failure(tmp_path):
     code = main(["run", "--preset", "Pp_power", "--params", '{"c": 1e300, "n": 21}', "--out", str(out)])
     assert code == 5
     assert json.loads((out / "summary.json").read_text())["status"] == "solver_failure"
+
+
+def test_cli_overflowing_envelope_named_in_summary(tmp_path):
+    out = tmp_path / "out"
+    main(["run", "--preset", "Pp_power", "--params", '{"c": 1e300, "n": 21}', "--out", str(out)])
+    note = json.loads((out / "summary.json").read_text())["note"]
+    assert "growth envelope ell(" in note and "overflowed to inf" in note
+    assert "without sup-norm growth" not in note
+
+
+def test_cli_compare_overflowing_box_ends_in_collapse(tmp_path):
+    # check_sc meets non-finite partials on the huge box: it reports
+    # L_M = inf instead of a configuration error, and the pair collapses as
+    # `mmrd run` does on the same data
+    out = tmp_path / "out"
+    code = main(["compare", "--preset", "Pp_pair_dirichlet_power", "--params", '{"c": 1e300}',
+                 "--out", str(out)])
+    assert code == 5
+    report = (out / "compare_report.txt").read_text()
+    assert "L_M = inf" in report and "overflowed to inf" in report

@@ -28,7 +28,7 @@ from mmrd import (
     zero_graph,
 )
 from mmrd import graphs
-from mmrd.graphs import custom_graph, resolve_terms
+from mmrd.graphs import custom_graph, resolve_terms, resolvent_slope
 from oracles import oracle_resolve_terms, oracle_resolvent
 
 
@@ -293,6 +293,35 @@ def test_resolve_terms_builtin_sums_skip_bisection(monkeypatch):
         assert np.all(np.diff(x) >= 0.0), kinds
         for r, xi in zip(rs[::6], x[::6]):
             assert xi == pytest.approx(oracle_resolve_terms(terms, r), abs=1e-10), kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kinds=st.sampled_from(KIND_COMBOS),
+    params=st.lists(graph_params, min_size=3, max_size=3),
+    weights=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3),
+    r=st.floats(-20.0, 20.0),
+)
+def test_resolvent_slope_matches_difference_quotient(kinds, params, weights, r):
+    terms = _sum_terms(kinds, params, weights)
+    lo = max(G.domain_lo for _, G in terms)
+    hi = min(G.domain_hi for _, G in terms)
+    x = float(resolve_terms(np.asarray([r]), terms)[0])
+    slope = float(resolvent_slope(np.asarray([x]), terms)[0])
+    if x in (lo, hi):
+        assert slope == 0.0  # clipped to an endpoint of the common domain
+        return
+    assert 0.0 <= slope <= 1.0  # 0 at x = 0 under a power term with q < 2
+    eps = 1e-5
+    x_lo, x_hi = resolve_terms(np.asarray([r - eps, r + eps]), terms)
+    if lo < x_lo and x_hi < hi and abs(x) > 1e-2:  # smooth near r (q < 2 is singular at 0)
+        assert slope == pytest.approx((x_hi - x_lo) / (2.0 * eps), rel=1e-3, abs=1e-6)
+
+
+def test_resolvent_slope_of_custom_sums_is_zero():
+    G = custom_graph(lambda r: np.tanh(r))
+    assert np.all(resolvent_slope(np.linspace(-2.0, 2.0, 5), [(1.0, G)]) == 0.0)
+    assert np.all(resolvent_slope(np.linspace(-2.0, 2.0, 5), []) == 1.0)
 
 
 # ---------------------------------------------------------------------------

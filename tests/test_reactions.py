@@ -84,6 +84,20 @@ def test_check_sc_scalar_vacuous_off_diagonals():
     assert res.l_m == pytest.approx(1.1 * 8.0, rel=1e-4)
 
 
+def test_check_sc_reports_overflow_as_infinite_lipschitz_bound():
+    with np.errstate(over="raise", invalid="raise"):
+        res = check_sc(power_reaction(3.0), 1e300)
+    assert res.ok and res.l_m == math.inf
+
+
+def test_check_order_overflow_is_inconclusive_unless_reactions_are_equal():
+    p3 = power_reaction(3.0)
+    assert check_order_F(p3, power_reaction(3.0), 1e300).holds
+    bigger = custom_reaction(1, lambda U: 2.0 * np.abs(U) * U)
+    with np.errstate(over="raise", invalid="raise"):
+        assert check_order_F(p3, bigger, 1e300).status == "inconclusive"
+
+
 def test_check_order_examples():
     p3 = power_reaction(3.0)
     assert check_order_F(p3, p3, 5.0).holds

@@ -6,12 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mmrd.stepper
+from mmrd.errors import SolverFailure
 from mmrd.graphs import (
+    GraphSpec,
     custom_graph,
     dirichlet_graph,
     extended_neumann_graph,
     extended_power_graph,
+    make_graph,
     obstacle_graph,
     zero_graph,
 )
@@ -32,6 +38,7 @@ from mmrd.stepper import (
     run,
     step,
 )
+from oracles import oracle_step_residual
 
 
 def scalar_problem(n=51, reaction=None, boundary=None, interior=None, u0=None, a=1.0):
@@ -50,7 +57,7 @@ def scalar_problem(n=51, reaction=None, boundary=None, interior=None, u0=None, a
 @pytest.mark.parametrize("bc_kind", ["neumann", "dirichlet"])
 def test_step_matches_dense_linear_solve(n, bc_kind):
     """For linear boundary laws the implicit step is a linear system; the
-    Gauss-Seidel result must match a direct dense solve."""
+    Newton result must match a direct dense solve."""
     mesh = build_mesh(1, [1.0], [n])
     a, dt = 0.7, 3e-3
     h = mesh.spacing[0]
@@ -284,3 +291,73 @@ def test_2d_dirichlet_decay():
     # backward-Euler decay of the principal 2D mode, rate ~ 2 pi^2
     expected = 1.0 / (1.0 + dt * 2.0 * np.pi**2) ** 50
     assert sup_norm(S[0]) == pytest.approx(expected, rel=0.05)
+
+
+def test_neumann_constant_state_at_n201_never_stalls(monkeypatch):
+    """u0 = 2 under extended_neumann with p = 3 at n = 201 (mu ~ 20): every
+    step converges at its proposed dt, none is rejected and halved."""
+    failures = []
+
+    def checked_step(P, S, dt):
+        try:
+            return step(P, S, dt)
+        except SolverFailure as exc:
+            failures.append((dt, exc.residual))
+            raise
+
+    monkeypatch.setattr(mmrd.stepper, "step", checked_step)
+    P = scalar_problem(n=201, reaction=power_reaction(3.0), boundary=extended_neumann_graph(),
+                       u0=lambda x: np.full_like(x, 2.0))
+    traj = run(P, TimeControl(t_end=0.05, blowup_threshold=1e3))
+    assert failures == []
+    assert traj.status == "completed" and len(traj.times) > 1
+
+
+KINDS = ("zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle")
+
+graph_params = st.fixed_dictionaries(
+    {
+        "alpha": st.floats(0.0, 5.0),
+        "q": st.sampled_from([1.5, 2.0, 2.5, 3.0]) | st.floats(1.1, 4.0),
+        "level": st.floats(0.05, 5.0),
+        "slope": st.floats(0.0, 5.0),
+    }
+)
+
+
+def _is_equilibrium(G, C):
+    return G.contains(C) and float(G.g(C)) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+    params=st.lists(graph_params, min_size=2, max_size=2),
+    dim=st.sampled_from([1, 2]),
+    log_mu=st.floats(-2.0, 2.0),
+    level=st.floats(-2.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_solves_inclusion_and_keeps_order(kinds, params, dim, log_mu, level, seed):
+    """Random built-in (interior, boundary) graph pairs, mu = a dt / h^2 in
+    [1e-2, 1e2], 1D and 2D: the step solves every nodal inclusion (checked
+    against an independent stencil and bisection), ordered data give ordered
+    results, and equilibrium constants are fixed points."""
+    beta, gamma = (make_graph(GraphSpec(k, **p)) for k, p in zip(kinds, params))
+    mesh = build_mesh(1, [1.0], [9]) if dim == 1 else build_mesh(2, [1.0, 1.5], [6, 5])
+    dt = 1e-2
+    a = 10.0**log_mu * mesh.spacing[0] ** 2 / dt
+    rng = np.random.default_rng(seed)
+    S1 = rng.uniform(-2.0, 3.0, (1,) + mesh.shape)
+    S2 = S1 + rng.uniform(0.0, 1.0, S1.shape) * (rng.random(S1.shape) < 0.7)
+    # F(u) = u|u| is increasing, so S + dt F(S) keeps the order of the data
+    P = ProblemSpec(mesh, (a,), power_reaction(3.0), (beta,), (gamma,), S1)
+    U1, U2 = step(P, S1, dt), step(P, S2, dt)
+    assert oracle_step_residual(P, S1, dt, U1) <= 1e-9
+    assert oracle_step_residual(P, S2, dt, U2) <= 1e-9
+    assert float(np.max(U1 - U2)) <= 1e-9
+
+    C = level if _is_equilibrium(beta, level) and _is_equilibrium(gamma, level) else 0.0
+    P0 = ProblemSpec(mesh, (a,), zero_reaction(), (beta,), (gamma,), S1)
+    U0 = step(P0, np.full((1,) + mesh.shape, C), dt)
+    assert float(np.max(np.abs(U0 - C))) <= 1e-12 * max(1.0, abs(C))
