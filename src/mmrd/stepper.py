@@ -15,9 +15,12 @@ what makes constant states exact equilibria, nonnegative data stay
 nonnegative, and ordered states stay ordered.
 
 Time steps adapt to the reaction strength: dt is capped by
-safety / ell(sup norm) and safety / L_local, halved when the nonlinear
-solve stalls, and a run terminates either at t_end or with a blow-up /
-solver-failure classification.
+safety * max(1, r) / ell(r), with r the summed sup norm, so that above
+r = 1 the sup norm changes by at most about the fraction ``safety`` per
+step (Nakagawa's tau * min(1, 1/|U|) for F = u^2), and by safety / L on
+the max-norm box, which keeps the frozen reaction order-preserving.
+dt is halved when the nonlinear solve stalls, and a run terminates
+either at t_end or with a blow-up / solver-failure classification.
 """
 
 from __future__ import annotations
@@ -101,6 +104,10 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class TimeControl:
+    """Run length and step control.  ``safety`` bounds the relative change
+    of the summed sup norm per step (its absolute change below norm 1) and
+    the product dt * L of the step with the reaction's Lipschitz bound."""
+
     t_end: float
     dt_init: float = 1e-3
     dt_min: float = 1e-10
@@ -134,7 +141,6 @@ class Trajectory:
     status: str  # "completed" | "blowup" | "solver_failure"
     final_state: np.ndarray
     extras: dict[str, np.ndarray] = field(default_factory=dict)
-    snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
     note: str = ""
 
     @property
@@ -259,20 +265,25 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _dt_bounds(P: ProblemSpec, S: np.ndarray) -> dict[str, float]:
-    """The reaction bounds that cap dt, by name: the growth envelope at the
-    summed sup norm and the Lipschitz bound on the max-norm box."""
+    """The rates that cap dt at safety / rate, by name: the growth envelope
+    ell(r) relative to max(1, r), r the summed sup norm, and the Lipschitz
+    bound on the max-norm box."""
     sup_total = float(sum(sup_norm(S[k]) for k in range(P.m)))
     box = float(max(sup_norm(S[k]) for k in range(P.m)))
+    growth = ell(P.reaction, sup_total)
     return {
-        f"growth envelope ell({sup_total:.6g})": ell(P.reaction, sup_total),
+        f"growth envelope ell({sup_total:.6g}) / max(1, {sup_total:.6g})":
+            growth if math.isinf(growth) else growth / max(1.0, sup_total),
         f"Lipschitz bound on the box of radius {box:.6g}": lipschitz_bound(P.reaction, box),
     }
 
 
 def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -> float:
-    """Next trial step: capped by dt_init, gentle growth, the reaction growth
-    envelope and the local Lipschitz bound of the reaction.  A bound that
-    overflows to inf gives dt = 0, which the drivers report as a collapse."""
+    """Next trial step: capped by dt_init, twice the previous step,
+    safety * max(1, r) / ell(r) (a relative change of the summed sup norm r
+    of at most about ``safety`` once r >= 1) and safety / L, L the
+    reaction's Lipschitz bound on the box.  A bound that overflows to inf
+    gives dt = 0, which the drivers report as a collapse."""
     dt = min(tc.dt_init, 2.0 * dt_prev)
     for bound in _dt_bounds(P, S).values():
         if bound > 0:
@@ -294,7 +305,6 @@ class _AdaptiveRun:
         self.sups: list[list[float]] = []
         self.mins: list[list[float]] = []
         self.extras: dict[str, list[float]] = {}
-        self.snapshots: list[tuple[float, np.ndarray]] = []
         self.status = "completed"
         self.note = ""
         self.record(0.0)
@@ -336,17 +346,11 @@ class _AdaptiveRun:
             status=self.status,
             final_state=self.state,
             extras={k: np.asarray(v) for k, v in self.extras.items()},
-            snapshots=self.snapshots,
             note=self.note,
         )
 
 
-def run(
-    P: ProblemSpec,
-    tc: TimeControl,
-    observer=None,
-    snapshot_times: tuple[float, ...] = (),
-) -> Trajectory:
+def run(P: ProblemSpec, tc: TimeControl, observer=None) -> Trajectory:
     """Advance the problem adaptively until t_end, blow-up or solver failure.
 
     ``observer(t, state) -> dict[str, float]`` is evaluated at every accepted
@@ -354,7 +358,6 @@ def run(
     boundary: failures are reported through ``Trajectory.status``.
     """
     r = _AdaptiveRun(P, tc, observer)
-    pending_snaps = sorted(snapshot_times)
     dt_prev = tc.dt_init
     while tc.t_end - r.t > tc.dt_min:
         dt = min(propose_dt(P, r.state, tc, dt_prev), tc.t_end - r.t)
@@ -384,9 +387,6 @@ def run(
         r.t += dt
         dt_prev = dt
         r.record(dt)
-        while pending_snaps and r.t >= pending_snaps[0]:
-            r.snapshots.append((r.t, r.state.copy()))
-            pending_snaps.pop(0)
         if r.overall_sup() >= tc.blowup_threshold:
             r.status = "blowup"
             r.note = f"sup norm reached the blow-up threshold {tc.blowup_threshold:g}"

@@ -279,6 +279,18 @@ def test_cli_overflowing_envelope_named_in_summary(tmp_path):
     assert "without sup-norm growth" not in note
 
 
+def test_cli_run_to_huge_threshold_stays_cheap(tmp_path):
+    # the step count grows with log(threshold), not with the threshold: the
+    # absolute cap safety / ell(sup) wrote about 325k rows here
+    out = tmp_path / "out"
+    code = main(["run", "--preset", "Pp_neumann", "--params", '{"n": 21, "blowup_threshold": 1e300}',
+                 "--out", str(out)])
+    assert code == 2
+    rows = [line for line in (out / "trajectory.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) - 1 < 1000
+
+
 def test_cli_compare_overflowing_box_ends_in_collapse(tmp_path):
     # check_sc meets non-finite partials on the huge box: it reports
     # L_M = inf instead of a configuration error, and the pair collapses as

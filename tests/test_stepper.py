@@ -29,6 +29,7 @@ from mmrd.reactions import (
     power_reaction,
     zero_reaction,
 )
+from mmrd.spectral import principal_eigenpair
 from mmrd.stepper import (
     ProblemSpec,
     TimeControl,
@@ -182,6 +183,44 @@ def test_run_blowup_supercritical_dirichlet():
     assert verdict.kind == "blowup"
     assert 0.0 < verdict.t_blowup < 0.5
     assert verdict.ci_width < 0.05
+
+
+def neumann_blowup_problem(n=51):
+    """u_t = u_xx + u^2, u0 = 12 phi1, Neumann: blows up near t = 0.08."""
+    mesh = build_mesh(1, [1.0], [n])
+    u0 = 12.0 * principal_eigenpair(mesh).phi1
+    return ProblemSpec(mesh, (1.0,), power_reaction(3.0), (zero_graph(),),
+                       (extended_neumann_graph(),), np.asarray([u0]))
+
+
+def test_blowup_time_converges_at_first_order_in_step_control():
+    P = neumann_blowup_problem()
+    tbs = []
+    for dt_init, safety in ((1e-3, 0.1), (5e-4, 0.05), (2.5e-4, 0.025)):
+        traj = run(P, TimeControl(t_end=1.0, dt_init=dt_init, safety=safety, blowup_threshold=1e3))
+        assert traj.status == "blowup"
+        tbs.append(detect_blowup(traj).t_blowup)
+    d1, d2 = tbs[1] - tbs[0], tbs[2] - tbs[1]
+    assert 1.7 <= d1 / d2 <= 2.3
+
+
+def test_blowup_run_takes_few_steps_at_default_safety():
+    # the relative-growth cap takes a bounded number of steps per decade of
+    # the sup norm; the absolute cap safety / ell(r) took 10,681 here
+    traj = run(neumann_blowup_problem(), TimeControl(t_end=1.0, blowup_threshold=1e3))
+    assert traj.status == "blowup"
+    assert len(traj.times) - 1 < 300
+
+
+def test_accepted_steps_respect_relative_growth_and_lipschitz_caps():
+    safety, p = 0.1, 3.0
+    traj = run(neumann_blowup_problem(), TimeControl(t_end=1.0, blowup_threshold=1e3, safety=safety))
+    r = traj.sup_norms[:-1, 0]  # the sample each step started from
+    dt = traj.dts[1:]
+    envelope = r + r ** (p - 1.0)  # ell(r) for F = u^2
+    lipschitz = (p - 1.0) * r ** (p - 2.0)
+    assert np.all(dt <= safety * np.maximum(1.0, r) / envelope * (1.0 + 1e-12))
+    assert np.all(dt <= safety / lipschitz * (1.0 + 1e-12))
 
 
 def test_run_nuclear_a_zero_growth_bound():
