@@ -29,14 +29,13 @@ from .graphs import (
     extended_power_graph,
     linear_graph,
     make_graph,
-    minimal_section,
     obstacle_graph,
     power_graph,
     resolvent,
     yosida,
     zero_graph,
 )
-from .mesh import Mesh, apply_diffusion, build_mesh, integrate, positive_part_l2, sup_norm
+from .mesh import Mesh, build_mesh, integrate, positive_part_l2, sup_norm
 from .reactions import (
     Reaction,
     check_order_F,

@@ -284,8 +284,8 @@ def run_pair(
                 failed = "collapse"
                 break
             try:
-                new1 = step(P1, r1.state, dt)
-                new2 = step(P2, r2.state, dt)
+                new1 = step(P1, r1.state, dt, factors=r1.factors)
+                new2 = step(P2, r2.state, dt, factors=r2.factors)
                 break
             except SolverFailure:
                 dt *= 0.5

@@ -43,7 +43,6 @@ __all__ = [
     "custom_graph",
     "extend_nonneg",
     "eval_graph",
-    "minimal_section",
     "resolvent",
     "resolve_terms",
     "resolvent_slope",
@@ -249,18 +248,6 @@ def eval_graph(G: MonotoneGraph, r: float) -> tuple[float, float] | None:
     if not G.contains(r):
         return None
     return _value_bounds(G, r)
-
-
-def minimal_section(G: MonotoneGraph, r: float) -> float:
-    """Minimal-absolute-value element of gamma(r); used where a single flux
-    value must be reported for a multivalued graph."""
-    iv = eval_graph(G, r)
-    if iv is None:
-        raise InvariantViolation(f"value requested outside graph domain: r={r}")
-    vmin, vmax = iv
-    if vmin <= 0.0 <= vmax:
-        return 0.0
-    return vmin if vmin > 0.0 else vmax
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .graphs import MonotoneGraph, minimal_section
 
 __all__ = [
     "Mesh",
@@ -23,7 +22,6 @@ __all__ = [
     "integrate",
     "sup_norm",
     "positive_part_l2",
-    "apply_diffusion",
 ]
 
 
@@ -108,60 +106,3 @@ def sup_norm(f: np.ndarray) -> float:
 def positive_part_l2(mesh: Mesh, f: np.ndarray) -> float:
     """Discrete L2 norm of max(f, 0)."""
     return math.sqrt(integrate(mesh, np.square(np.maximum(f, 0.0))))
-
-
-def apply_diffusion(
-    mesh: Mesh,
-    f: np.ndarray,
-    a: float,
-    bc: MonotoneGraph,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate a * Lap_h f with the graph flux law closing the boundary rows.
-
-    Interior nodes use the standard 3-point (1D) / 5-point (2D) stencil.  At
-    a boundary node the ghost value is eliminated through the flux inclusion
-    -a * d_nu f in gamma(f_b); since gamma may be multivalued there, the
-    minimal-absolute-value section is used for this explicit evaluation (the
-    implicit stepper never needs this choice: it solves the inclusion).
-    Boundary values are projected onto the closure of the graph domain
-    before taking the section, mirroring the projection applied to initial
-    data.  Corners in 2D apply the flux law on each face independently.
-    """
-    if a <= 0:
-        raise ConfigurationError(f"diffusion coefficient must be > 0, got {a}")
-    f = np.asarray(f, dtype=float)
-    if f.shape != mesh.shape:
-        raise ConfigurationError(f"field shape {f.shape} does not match mesh {mesh.shape}")
-    if out is None:
-        out = np.zeros(mesh.shape)
-    else:
-        out.fill(0.0)
-
-    def section(v: float) -> float:
-        return minimal_section(bc, min(max(v, bc.domain_lo), bc.domain_hi))
-
-    if mesh.dim == 1:
-        (h,) = mesh.spacing
-        out[1:-1] = a * (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h**2
-        out[0] = a * (2.0 * f[1] - 2.0 * f[0]) / h**2 - (2.0 / h) * section(float(f[0]))
-        out[-1] = a * (2.0 * f[-2] - 2.0 * f[-1]) / h**2 - (2.0 / h) * section(float(f[-1]))
-        return out
-
-    hx, hy = mesh.spacing
-    # second differences along each axis, faces via ghost elimination
-    dxx = np.empty(mesh.shape)
-    dxx[1:-1, :] = (f[:-2, :] - 2.0 * f[1:-1, :] + f[2:, :]) / hx**2
-    gx_lo = np.array([section(float(v)) for v in f[0, :]])
-    gx_hi = np.array([section(float(v)) for v in f[-1, :]])
-    dxx[0, :] = (2.0 * f[1, :] - 2.0 * f[0, :]) / hx**2 - (2.0 / (a * hx)) * gx_lo
-    dxx[-1, :] = (2.0 * f[-2, :] - 2.0 * f[-1, :]) / hx**2 - (2.0 / (a * hx)) * gx_hi
-    dyy = np.empty(mesh.shape)
-    dyy[:, 1:-1] = (f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:]) / hy**2
-    gy_lo = np.array([section(float(v)) for v in f[:, 0]])
-    gy_hi = np.array([section(float(v)) for v in f[:, -1]])
-    dyy[:, 0] = (2.0 * f[:, 1] - 2.0 * f[:, 0]) / hy**2 - (2.0 / (a * hy)) * gy_lo
-    dyy[:, -1] = (2.0 * f[:, -2] - 2.0 * f[:, -1]) / hy**2 - (2.0 / (a * hy)) * gy_hi
-    np.add(dxx, dyy, out=out)
-    out *= a
-    return out

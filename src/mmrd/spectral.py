@@ -1,10 +1,11 @@
 """Principal Dirichlet eigenpair and the Kaplan blow-up functionals.
 
 The eigenpair (lambda1, phi1) of -Lap phi = lambda phi with phi = 0 on the
-boundary is available analytically on intervals and rectangles and via
-inverse power iteration on the interior discrete Laplacian.  phi1 is
-normalized so that its *discrete* integral over the domain equals 1, which
-is the normalization every functional below relies on.
+boundary is known in closed form on intervals and rectangles, both for the
+continuous operator and for the interior discrete Laplacian of the uniform
+grid, whose principal eigenvector is the continuous phi1 at the nodes.
+phi1 is normalized so that its *discrete* integral over the domain equals
+1, which is the normalization every functional below relies on.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError, SolverFailure
+from .errors import ConfigurationError
 from .mesh import Mesh, integrate
 
 __all__ = [
@@ -51,66 +50,46 @@ class EigenPair:
     residual: float
 
 
-def _interior_laplacian(mesh: Mesh) -> sp.spmatrix:
-    """Matrix of -Lap_h on interior nodes with homogeneous Dirichlet boundary."""
-    mats = []
-    for h, n in zip(mesh.spacing, mesh.counts):
-        k = n - 2
-        main = np.full(k, 2.0 / h**2)
-        off = np.full(k - 1, -1.0 / h**2)
-        mats.append(sp.diags([off, main, off], [-1, 0, 1], format="csc"))
-    if mesh.dim == 1:
-        return mats[0]
-    ix = sp.identity(mesh.counts[0] - 2, format="csc")
-    iy = sp.identity(mesh.counts[1] - 2, format="csc")
-    return (sp.kron(mats[0], iy) + sp.kron(ix, mats[1])).tocsc()
+def _eigen_residual(mesh: Mesh, phi: np.ndarray, lam: float) -> float:
+    """Relative residual ||A phi - lam phi|| / (lam ||phi||) on interior
+    nodes, A the 3-point (1D) / 5-point (2D) stencil of -Lap_h and phi zero
+    on the boundary."""
+    inner = (slice(1, -1),) * mesh.dim
+    v = phi[inner]
+    Av = np.zeros_like(v)
+    for ax, h in enumerate(mesh.spacing):
+        lo = inner[:ax] + (slice(None, -2),) + inner[ax + 1 :]
+        hi = inner[:ax] + (slice(2, None),) + inner[ax + 1 :]
+        Av += (2.0 * v - phi[lo] - phi[hi]) / h**2
+    return float(np.linalg.norm(Av - lam * v)) / (lam * float(np.linalg.norm(v)))
 
 
 def principal_eigenpair(mesh: Mesh, method: str = "analytic") -> EigenPair:
-    """Compute (lambda1, phi1); ``method`` is "analytic" or "discrete"."""
-    if method == "analytic":
-        if mesh.dim == 1:
-            (L,) = mesh.lengths
-            lam = (math.pi / L) ** 2
-            phi = np.sin(math.pi * mesh.axes[0] / L)
-        else:
-            lx, ly = mesh.lengths
-            lam = math.pi**2 * (1.0 / lx**2 + 1.0 / ly**2)
-            x, y = mesh.coords
-            phi = np.sin(math.pi * x / lx) * np.sin(math.pi * y / ly)
-        phi[mesh.boundary_mask] = 0.0
-        mass = integrate(mesh, phi)
-        phi = phi / mass
-        return EigenPair(mesh, lam, phi, "analytic", abs(integrate(mesh, phi) - 1.0), 0.0)
+    """Compute (lambda1, phi1); ``method`` is "analytic" or "discrete".
 
-    if method != "discrete":
+    Both share phi1, the product over axes of sin(pi x / L) at the nodes.
+    "analytic" pairs it with the continuous lambda1 = sum over axes of
+    (pi / L)^2; "discrete" with the exact eigenvalue of the interior
+    Dirichlet 3-point / 5-point Laplacian on the uniform tensor grid,
+    lambda_h = sum over axes of (4 / h^2) sin^2(pi h / (2 L)).
+    """
+    if method not in ("analytic", "discrete"):
         raise ConfigurationError(f"unknown eigenpair method {method!r}")
-
-    A = _interior_laplacian(mesh)
-    solve = spla.splu(A.tocsc()).solve
-    v = np.ones(A.shape[0])
-    v /= np.linalg.norm(v)
-    lam = lam_prev = 0.0
-    for _ in range(10_000):
-        w = solve(v)
-        v = w / np.linalg.norm(w)
-        lam = float(v @ (A @ v))
-        if abs(lam - lam_prev) <= 1e-10:
-            break
-        lam_prev = lam
+    phi = np.ones(mesh.shape)
+    for x, L in zip(mesh.coords, mesh.lengths):
+        phi = phi * np.sin(math.pi * x / L)
+    phi[mesh.boundary_mask] = 0.0
+    if method == "analytic":
+        lam = sum((math.pi / L) ** 2 for L in mesh.lengths)
+        residual = 0.0
     else:
-        raise SolverFailure("inverse power iteration did not converge", abs(lam - lam_prev))
-    residual = float(np.linalg.norm(A @ v - lam * v)) / lam
-
-    phi = np.zeros(mesh.shape)
-    if mesh.dim == 1:
-        phi[1:-1] = v
-    else:
-        phi[1:-1, 1:-1] = v.reshape(mesh.counts[0] - 2, mesh.counts[1] - 2)
-    if integrate(mesh, phi) < 0:
-        phi = -phi
+        lam = sum(
+            4.0 / h**2 * math.sin(math.pi * h / (2.0 * L)) ** 2
+            for h, L in zip(mesh.spacing, mesh.lengths)
+        )
+        residual = _eigen_residual(mesh, phi, lam)
     phi = phi / integrate(mesh, phi)
-    return EigenPair(mesh, lam, phi, "discrete", abs(integrate(mesh, phi) - 1.0), residual)
+    return EigenPair(mesh, lam, phi, method, abs(integrate(mesh, phi) - 1.0), residual)
 
 
 def kaplan_y(u: np.ndarray, ep: EigenPair) -> float:

@@ -14,6 +14,13 @@ R itself, so every node lies inside the graph domains exactly, which is
 what makes constant states exact equilibria, nonnegative data stay
 nonnegative, and ordered states stay ordered.
 
+Diffusion is linear, so the Newton matrix I - diag(R') N / c changes only
+where the resolvent slope R' moves (the boundary rows, for a zero interior
+graph), and little between steps of equal dt.  Each run therefore keeps
+one banded LU per component across iterations and steps and uses it for
+chord steps, refactoring when dt changes or a chord step converges
+slowly or not at all (Kelley 2003, the chord and Shamanskii methods).
+
 Time steps adapt to the reaction strength: dt is capped by
 safety * max(1, r) / ell(r), with r the summed sup norm, so that above
 r = 1 the sup norm changes by at most about the fraction ``safety`` per
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, InvariantViolation, SolverFailure
 from .graphs import MonotoneGraph, resolve_terms, resolvent_slope
@@ -49,6 +56,7 @@ __all__ = [
 ]
 
 SOLVE_TOL = 1e-10
+CHORD_RATE = 1e-3  # a step with kept factors must lower max|Phi| by this factor
 MAX_ITER = 500
 
 
@@ -178,25 +186,47 @@ def _stencil(mesh: Mesh):
     return tuple(axes), classes
 
 
+class _BandLU:
+    """Banded LU factors of one component's Newton matrix, kept across
+    Newton iterations and time steps.  ``ab`` is the dgbtrf band buffer,
+    factored in place; ``c`` is the diagonal the factors were made for, or
+    None when they must be remade before the next step."""
+
+    __slots__ = ("ab", "piv", "c")
+
+    def __init__(self):
+        self.ab = None
+        self.piv = None
+        self.c = None
+
+
 def _solve_component(
     u: np.ndarray,
     rhs: np.ndarray,
     c: float,
     coupling: list[tuple[int, np.ndarray, np.ndarray]],
     classes: list[tuple[np.ndarray, list]],
+    lu: _BandLU,
 ) -> np.ndarray:
     """Semismooth Newton on Phi(u) = u - R((rhs + N u) / c) for one component.
 
     ``coupling`` holds (stride, up, down) neighbour weights of N and
     ``classes`` the (node indices, resolvent terms) of each node class.  The
     generalised Jacobian I - diag(R') N / c is an M-matrix with bandwidth
-    max(stride); a step that does not lower max|Phi| is replaced by the
-    fixed-point step u <- R(q), a max-norm contraction.  Returns R itself,
-    so every node lies in its graph domains exactly.
+    max(stride).  Its banded LU in ``lu`` is reused while it serves (a chord
+    step): it is remade when there is none, when c changed (a new dt), after
+    a chord step that lowered max|Phi| by less than the factor
+    ``CHORD_RATE``, and at once when a chord step did not lower max|Phi|.
+    A step with fresh factors that does not lower max|Phi| is replaced by
+    the fixed-point step u <- R(q), a max-norm contraction.  Returns R
+    itself, so every node lies in its graph domains exactly.
     """
     n = u.size
     bw = max(s for s, _, _ in coupling)
-    ab = np.empty((3 * bw + 1, n), order="F")  # dgbsv layout: bw rows of LU fill-in on top
+    if lu.ab is None or lu.ab.shape != (3 * bw + 1, n):
+        lu.ab = np.empty((3 * bw + 1, n), order="F")  # dgbtrf layout: bw rows of LU fill-in on top
+        lu.c = None
+    ab = lu.ab
 
     def resolve(v):
         q = rhs.copy()
@@ -209,10 +239,7 @@ def _solve_component(
             x[idx] = resolve_terms(q[idx], terms)
         return x, float(np.abs(v - x).max())
 
-    x, res = resolve(u)
-    for _ in range(MAX_ITER):
-        if not res > SOLVE_TOL * max(1.0, float(np.abs(x).max())):
-            return x  # converged, or non-finite: the driver classifies it
+    def factor(x):
         slope = np.empty(n)
         for idx, terms in classes:
             slope[idx] = resolvent_slope(x[idx], terms)
@@ -221,12 +248,27 @@ def _solve_component(
         for s, up, down in coupling:
             ab[2 * bw - s, s:] = -slope[:-s] * up[:-s] / c
             ab[2 * bw + s, :-s] = -slope[s:] * down[s:] / c
-        _, _, delta, info = dgbsv(bw, bw, ab, x - u, overwrite_ab=1, overwrite_b=1)
-        if info == 0:
+        _, lu.piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+        lu.c = c if info == 0 else None
+
+    x, res = resolve(u)
+    for _ in range(MAX_ITER):
+        if not res > SOLVE_TOL * max(1.0, float(np.abs(x).max())):
+            return x  # converged, or non-finite: the driver classifies it
+        fresh = lu.c != c
+        if fresh:
+            factor(x)
+        if lu.c is not None:
+            delta, _ = dgbtrs(ab, bw, bw, x - u, lu.piv, overwrite_b=1)
             v = u + delta
             x_v, res_v = resolve(v)
             if res_v < res:
+                if not fresh and res_v > CHORD_RATE * res:
+                    lu.c = None  # slow: refactor at the next iterate
                 u, x, res = v, x_v, res_v
+                continue
+            if not fresh:
+                lu.c = None  # refactor at this iterate
                 continue
         u = x
         x, res = resolve(u)
@@ -235,10 +277,20 @@ def _solve_component(
     )
 
 
-def step(P: ProblemSpec, S: np.ndarray, dt: float) -> np.ndarray:
-    """One backward-Euler step; raises SolverFailure when the Newton solve stalls."""
+def step(
+    P: ProblemSpec, S: np.ndarray, dt: float, factors: list[_BandLU] | None = None
+) -> np.ndarray:
+    """One backward-Euler step; raises SolverFailure when the Newton solve stalls.
+
+    ``factors`` holds one kept Newton-matrix factorization per component;
+    the adaptive drivers pass the one their run owns, and without it the
+    step starts from none.  It changes the path of the solve, never the
+    stopping test its result passes.
+    """
     if dt <= 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
+    if factors is None:
+        factors = [_BandLU() for _ in range(P.m)]
     S = np.asarray(S, dtype=float)
     F = eval_reaction(P.reaction, S)
     new = np.empty_like(S)
@@ -255,7 +307,9 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float) -> np.ndarray:
             for w, idx in node_classes
         ]
         rhs = (S[k] + dt * F[k]).ravel()
-        new[k] = _solve_component(S[k].ravel(), rhs, c, coupling, classes).reshape(mesh.shape)
+        new[k] = _solve_component(
+            S[k].ravel(), rhs, c, coupling, classes, factors[k]
+        ).reshape(mesh.shape)
     return new
 
 
@@ -299,6 +353,7 @@ class _AdaptiveRun:
         self.tc = tc
         self.observer = observer
         self.state = P.initial_state()
+        self.factors = [_BandLU() for _ in range(P.m)]
         self.t = 0.0
         self.times: list[float] = []
         self.dts: list[float] = []
@@ -366,7 +421,7 @@ def run(P: ProblemSpec, tc: TimeControl, observer=None) -> Trajectory:
                 r.classify_collapse()
                 return r.finish()
             try:
-                new = step(P, r.state, dt)
+                new = step(P, r.state, dt, factors=r.factors)
                 break
             except SolverFailure:
                 dt *= 0.5

@@ -129,3 +129,38 @@ def oracle_step_residual(P, S, dt, U):
                 terms.append((dt * flux / c, P.boundary[k]))
             worst = max(worst, abs(float(u[node]) - oracle_resolve_terms(terms, r)))
     return worst
+
+
+def oracle_apply_diffusion(mesh, f, a, bc):
+    """a * Lap_h f with the flux law -a * d_nu f in gamma(f) closing the
+    boundary rows, node by node.
+
+    Interior neighbours give the 3-point (1D) / 5-point (2D) stencil.  At a
+    boundary node the ghost value is eliminated through the flux law, with
+    the minimal-absolute-value element of gamma at the boundary value
+    (projected onto gamma's closed domain) as the flux; 2D corners apply
+    the law on each face.
+    """
+    import numpy as np
+
+    def section(v):
+        x = min(max(v, bc.domain_lo), bc.domain_hi)
+        lo, hi = _oracle_bounds(bc, x)
+        return 0.0 if lo <= 0.0 <= hi else (lo if lo > 0.0 else hi)
+
+    f = np.asarray(f, dtype=float)
+    out = np.zeros(f.shape)
+    for node in np.ndindex(*f.shape):
+        total = 0.0
+        for ax, h in enumerate(mesh.spacing):
+            i, n = node[ax], f.shape[ax]
+            lo = node[:ax] + (i - 1,) + node[ax + 1 :]
+            hi = node[:ax] + (i + 1,) + node[ax + 1 :]
+            if 0 < i < n - 1:
+                total += (f[lo] - 2.0 * f[node] + f[hi]) / h**2
+            else:
+                inner = hi if i == 0 else lo
+                total += (2.0 * f[inner] - 2.0 * f[node]) / h**2
+                total -= 2.0 / (a * h) * section(float(f[node]))
+        out[node] = a * total
+    return out

@@ -1,4 +1,5 @@
-"""Tests for grids, quadrature, norms and the discrete diffusion operator."""
+"""Tests for grids, quadrature, norms, and the graph-closed diffusion operator
+of `tests/oracles.py` that the implicit step inverts."""
 
 from __future__ import annotations
 
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 
 from mmrd.errors import ConfigurationError
-from mmrd.graphs import dirichlet_graph, extended_neumann_graph, zero_graph
-from mmrd.mesh import apply_diffusion, build_mesh, integrate, positive_part_l2, sup_norm
+from mmrd.graphs import dirichlet_graph, extended_neumann_graph, extended_power_graph, zero_graph
+from mmrd.mesh import build_mesh, integrate, positive_part_l2, sup_norm
+from mmrd.reactions import zero_reaction
+from mmrd.stepper import ProblemSpec, step
+from oracles import oracle_apply_diffusion
 
 
 def test_build_mesh_1d_nodes():
@@ -63,13 +67,13 @@ def test_norms():
 
 def test_apply_diffusion_linear_is_flat_interior():
     mesh = build_mesh(1, [1.0], [21])
-    res = apply_diffusion(mesh, 3.0 * mesh.axes[0] + 1.0, 1.0, zero_graph())
+    res = oracle_apply_diffusion(mesh, 3.0 * mesh.axes[0] + 1.0, 1.0, zero_graph())
     np.testing.assert_allclose(res[1:-1], 0.0, atol=1e-12)
 
 
 def test_apply_diffusion_quadratic_exact():
     mesh = build_mesh(1, [1.0], [21])
-    res = apply_diffusion(mesh, mesh.axes[0] ** 2, 1.0, zero_graph())
+    res = oracle_apply_diffusion(mesh, mesh.axes[0] ** 2, 1.0, zero_graph())
     np.testing.assert_allclose(res[1:-1], 2.0, atol=1e-10)
 
 
@@ -79,7 +83,7 @@ def test_apply_diffusion_dirichlet_boundary_rows():
     mesh = build_mesh(1, [1.0], [11])
     f = np.sin(np.pi * mesh.axes[0])
     f[0] = f[-1] = 0.0
-    res = apply_diffusion(mesh, f, 1.0, dirichlet_graph())
+    res = oracle_apply_diffusion(mesh, f, 1.0, dirichlet_graph())
     assert res[0] == pytest.approx(2.0 * f[1] / mesh.spacing[0] ** 2)
 
 
@@ -91,8 +95,8 @@ def test_apply_diffusion_symmetric_on_interior():
     g = np.zeros(41)
     f[2:-2] = rng.standard_normal(37)
     g[2:-2] = rng.standard_normal(37)
-    Af = apply_diffusion(mesh, f, 1.0, zero_graph())
-    Ag = apply_diffusion(mesh, g, 1.0, zero_graph())
+    Af = oracle_apply_diffusion(mesh, f, 1.0, zero_graph())
+    Ag = oracle_apply_diffusion(mesh, g, 1.0, zero_graph())
     assert float(Af[1:-1] @ g[1:-1]) == pytest.approx(float(f[1:-1] @ Ag[1:-1]), rel=1e-12)
 
 
@@ -101,7 +105,7 @@ def test_apply_diffusion_convergence_order():
     for n in (51, 101):
         mesh = build_mesh(1, [1.0], [n])
         x = mesh.axes[0]
-        res = apply_diffusion(mesh, np.sin(np.pi * x), 1.0, dirichlet_graph())
+        res = oracle_apply_diffusion(mesh, np.sin(np.pi * x), 1.0, dirichlet_graph())
         errs[n] = np.max(np.abs(res[1:-1] + np.pi**2 * np.sin(np.pi * x[1:-1])))
     order = math.log2(errs[51] / errs[101])
     assert order >= 1.9
@@ -110,7 +114,7 @@ def test_apply_diffusion_convergence_order():
 def test_apply_diffusion_2d_quadratic():
     mesh = build_mesh(2, [1.0, 1.0], [15, 15])
     x, y = mesh.coords
-    res = apply_diffusion(mesh, x**2 + 2.0 * y**2, 1.0, zero_graph())
+    res = oracle_apply_diffusion(mesh, x**2 + 2.0 * y**2, 1.0, zero_graph())
     np.testing.assert_allclose(res[1:-1, 1:-1], 6.0, atol=1e-9)
 
 
@@ -118,8 +122,20 @@ def test_apply_diffusion_neumann_boundary_2d_linear():
     # f constant: all second differences vanish and the extended Neumann
     # graph contributes a zero section at positive boundary values
     mesh = build_mesh(2, [1.0, 1.0], [9, 9])
-    res = apply_diffusion(mesh, np.full(mesh.shape, 2.5), 1.0, extended_neumann_graph())
+    res = oracle_apply_diffusion(mesh, np.full(mesh.shape, 2.5), 1.0, extended_neumann_graph())
     np.testing.assert_allclose(res, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_step_inverts_the_graph_closed_diffusion(dim):
+    # the implicit step solves U - dt * a Lap_h U = S with the boundary rows
+    # closed by the same flux law (single-valued on U > 0 here)
+    mesh = build_mesh(1, [1.0], [21]) if dim == 1 else build_mesh(2, [1.0, 1.5], [9, 7])
+    a, dt, bc = 0.7, 1e-2, extended_power_graph(1.0, 2.5)
+    S = 0.5 + np.random.default_rng(dim).random(mesh.shape)
+    P = ProblemSpec(mesh, (a,), zero_reaction(), (zero_graph(),), (bc,), np.asarray([S]))
+    U = step(P, P.initial_state(), dt)[0]
+    np.testing.assert_allclose(U - dt * oracle_apply_diffusion(mesh, U, a, bc), S, atol=1e-8)
 
 
 def test_field_shape_mismatch():

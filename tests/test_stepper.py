@@ -31,6 +31,7 @@ from mmrd.reactions import (
 )
 from mmrd.spectral import principal_eigenpair
 from mmrd.stepper import (
+    SOLVE_TOL,
     ProblemSpec,
     TimeControl,
     Trajectory,
@@ -337,9 +338,9 @@ def test_neumann_constant_state_at_n201_never_stalls(monkeypatch):
     step converges at its proposed dt, none is rejected and halved."""
     failures = []
 
-    def checked_step(P, S, dt):
+    def checked_step(P, S, dt, **kw):
         try:
-            return step(P, S, dt)
+            return step(P, S, dt, **kw)
         except SolverFailure as exc:
             failures.append((dt, exc.residual))
             raise
@@ -350,6 +351,110 @@ def test_neumann_constant_state_at_n201_never_stalls(monkeypatch):
     traj = run(P, TimeControl(t_end=0.05, blowup_threshold=1e3))
     assert failures == []
     assert traj.status == "completed" and len(traj.times) > 1
+
+
+def plate_problem(n=41, boundary=None):
+    """2D power reaction p = 3 on the unit square with a Gaussian bump of
+    height 3; dt stays at dt_init = 1e-3 for t <= 0.08."""
+    mesh = build_mesh(2, [1.0, 1.0], [n, n])
+    x, y = mesh.coords
+    u0 = 3.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.01)
+    boundary = boundary or extended_power_graph(1.0, 2.5)
+    return ProblemSpec(mesh, (1.0,), power_reaction(3.0), (zero_graph(),), (boundary,),
+                       np.asarray([u0]))
+
+
+def count_calls(monkeypatch, name, log):
+    """Append ``name`` to ``log`` at every call of mmrd.stepper.<name>."""
+    original = getattr(mmrd.stepper, name)
+
+    def counted(*args, **kwargs):
+        log.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmrd.stepper, name, counted)
+
+
+def test_constant_dt_run_keeps_its_factorization(monkeypatch):
+    """At constant dt the Newton matrix changes little from step to step, so
+    the run refactors at most once per two steps, and every accepted state
+    still solves its step's nodal inclusions."""
+    steps = []
+
+    def recording_step(P, S, dt, **kw):
+        U = step(P, S, dt, **kw)
+        steps.append((S, dt, U))
+        return U
+
+    calls = []
+    count_calls(monkeypatch, "dgbtrf", calls)
+    monkeypatch.setattr(mmrd.stepper, "step", recording_step)
+    P = plate_problem()
+    traj = run(P, TimeControl(t_end=0.012))
+    assert traj.status == "completed" and len(steps) == len(traj.times) - 1 == 12
+    assert len(calls) <= len(steps) // 2
+    for S, dt, U in steps:
+        assert oracle_step_residual(P, S, dt, U) <= 1e-9
+
+
+def test_factors_of_another_problem_still_reach_the_solution():
+    """Factors made for another problem of the same shape and dt serve only
+    as a (possibly poor) chord matrix: the solve still stops within its
+    tolerance of the fresh solve's state."""
+    dt = 1e-3
+    other = plate_problem(boundary=dirichlet_graph())
+    P = plate_problem()
+    factors = [mmrd.stepper._BandLU()]
+    step(other, other.initial_state(), dt, factors=factors)
+    c = 1.0 + 2.0 * sum(dt / h**2 for h in P.mesh.spacing)
+    assert factors[0].c == c  # the primed factors are the ones the solve starts from
+    primed = step(P, P.initial_state(), dt, factors=factors)
+    fresh = step(P, P.initial_state(), dt)
+    # each state is within SOLVE_TOL * scale / (1 - kappa) of the exact one,
+    # kappa = 1 - 1/c the contraction factor of the nodal fixed-point map
+    scale = max(1.0, float(np.abs(fresh).max()))
+    assert float(np.abs(primed - fresh).max()) <= 2.0 * SOLVE_TOL * c * scale
+    assert oracle_step_residual(P, P.initial_state(), dt, primed) <= 1e-9
+
+
+def test_halving_after_solver_failure_refactors(monkeypatch):
+    """A halved dt changes the diagonal c, so the retried step factors the
+    Newton matrix afresh before its first solve."""
+    lapack = []
+    count_calls(monkeypatch, "dgbtrf", lapack)
+    count_calls(monkeypatch, "dgbtrs", lapack)
+    calls = []  # (dt, LAPACK calls made) per step call
+
+    def failing_step(P, S, dt, **kw):
+        start = len(lapack)
+        if len(calls) == 2:
+            calls.append((dt, []))
+            raise SolverFailure("injected", 1.0)
+        U = step(P, S, dt, **kw)
+        calls.append((dt, lapack[start:]))
+        return U
+
+    monkeypatch.setattr(mmrd.stepper, "step", failing_step)
+    traj = run(plate_problem(n=11), TimeControl(t_end=0.003))
+    assert traj.status == "completed"
+    (dt_first, _), (dt_kept, kept), (dt_failed, _), (dt_retry, retry) = calls[:4]
+    assert dt_first == dt_kept == dt_failed and dt_retry == 0.5 * dt_failed
+    assert kept[0] == "dgbtrs"  # the second step starts from the first one's factors
+    assert retry[0] == "dgbtrf"
+
+
+def test_rerun_with_an_unrelated_run_between_is_bitwise_equal():
+    """Each run owns its factors, so a run does not depend on what ran before."""
+    P = plate_problem(n=21)
+    other = ProblemSpec(P.mesh, P.diffusion, P.reaction, P.interior, P.boundary,
+                        0.5 * P.initial_state())
+    tc = TimeControl(t_end=0.01)
+    first = run(P, tc)
+    run(other, TimeControl(t_end=0.002))  # its last factors would serve P's first step
+    second = run(P, tc)
+    assert np.array_equal(first.times, second.times)
+    assert np.array_equal(first.sup_norms, second.sup_norms)
+    assert np.array_equal(first.final_state, second.final_state)
 
 
 KINDS = ("zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle")
