@@ -14,8 +14,10 @@ The central operation is the resolvent ``r -> x`` solving
 boundary graphs act on the same node).  Every built-in kind is a smooth odd
 part (zero, linear or power) plus the indicator of its domain, so any
 weighted sum of them is solved in closed form or by a safeguarded Newton
-iteration on the smooth part, then clipped to the common domain.  Only sums
-that involve a ``custom`` graph go through monotone bisection.
+iteration on the smooth part, then clipped to the common domain.  A single
+power exponent q = 2, 5/2 or 3 (5/2 is the boundary law of every power
+preset) has a closed-form root; other exponents iterate.  Only sums that
+involve a ``custom`` graph go through monotone bisection.
 """
 
 from __future__ import annotations
@@ -258,14 +260,28 @@ def eval_graph(G: MonotoneGraph, r: float) -> tuple[float, float] | None:
 def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
     """Solve xi + beta * xi^(q-1) = t for xi >= 0, elementwise (t >= 0).
 
-    For q >= 2 the map is convex with bounded slope near 0, so Newton from
-    xi = t converges monotonically; for 1 < q < 2 the slope of xi^(q-1) is
-    unbounded at 0 and monotone bisection is used instead.
+    q = 2, 5/2 and 3 have closed forms.  For q = 5/2, xi = t / W^2 where
+    W >= 1 is the largest root of the depressed cubic W^3 - W = beta*sqrt(t),
+    given by Viete's trigonometric form (three real roots, x <= 1) or its
+    hyperbolic form (one, x > 1); see Nickalls, Math. Gazette 77 (1993).
+    For other q >= 2 the map is convex with bounded slope near 0, so Newton
+    from xi = t converges monotonically; for 1 < q < 2 the slope of
+    xi^(q-1) is unbounded at 0 and monotone bisection is used instead.  Both
+    stop on a step or bracket of BISECT_TOL relative to max(1, xi).
     """
     if beta == 0.0:
         return t.copy()
     if q == 2.0:
         return t / (1.0 + beta)
+    if q == 2.5:
+        # x = (3 sqrt(3) / 2) beta sqrt(t) and W = (2 / sqrt(3)) w, with
+        # w = cos(arccos(x) / 3) for x <= 1, cosh(arccosh(x) / 3) above
+        x = (1.5 * math.sqrt(3.0) * beta) * np.sqrt(t)
+        w = np.cos(np.arccos(np.minimum(x, 1.0)) / 3.0)
+        big = x > 1.0
+        if big.any():
+            w[big] = np.cosh(np.arccosh(x[big]) / 3.0)
+        return 0.75 * t / (w * w)
     if q == 3.0:
         # stable root of beta*xi^2 + xi - t = 0
         return 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * beta * t))
@@ -274,14 +290,14 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
         for _ in range(60):
             f = xi + beta * xi ** (q - 1.0) - t
             xi_new = np.maximum(xi - f / (1.0 + beta * (q - 1.0) * xi ** (q - 2.0)), 0.0)
-            if np.max(np.abs(xi_new - xi)) <= BISECT_TOL:
+            if (np.abs(xi_new - xi) <= BISECT_TOL * np.maximum(1.0, xi_new)).all():
                 return xi_new
             xi = xi_new
         return xi
     lo = np.zeros_like(t)
     hi = t.copy()
     for _ in range(BISECT_MAX_ITER):
-        if np.max(hi - lo) <= BISECT_TOL:
+        if (hi - lo <= BISECT_TOL * np.maximum(1.0, hi)).all():
             break
         mid = 0.5 * (lo + hi)
         high = mid + beta * mid ** (q - 1.0) > t
@@ -332,7 +348,9 @@ def _smooth_split(terms: list[tuple[float, MonotoneGraph]]):
     for lam, G in terms:
         if G.kind == "linear":
             c += lam * G.params[0]
-        elif G.kind in ("power", "extended_power") and G.params[0] > 0.0:
+        elif G.kind in ("power", "extended_power") and lam * G.params[0] > 0.0:
+            # a weight lam * alpha that underflows to 0 would give 0 * inf
+            # in the slope at x = 0 when q < 2
             alpha, q = G.params
             powers[q] = powers.get(q, 0.0) + lam * alpha
     return lo, hi, c, powers

@@ -136,6 +136,77 @@ def test_resolvent_power_quadratic_formula():
     assert got == pytest.approx(oracle_resolvent(power_graph(1.0, 3.0), 0.5, 1.0), abs=1e-10)
 
 
+def _oracle_power_root(t, beta, q):
+    # tol=0: bisect down to adjacent floats, so the error is relative at any t
+    return oracle_resolvent(power_graph(1.0, q), beta, t, tol=0.0)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(float(lo_exp), float(hi_exp)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.just(0.0) | _log_uniform(-12, 6) | st.floats(1e-12, 1e6),
+    t=st.just(0.0) | _log_uniform(-300, 12) | st.floats(1e-300, 1e12),
+)
+def test_power_root_five_halves_matches_oracle(beta, t):
+    got = graphs._power_root(np.array([t]), beta, 2.5)[0]
+    assert got == pytest.approx(_oracle_power_root(t, beta, 2.5), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("beta", [1e-12, 1e-3, 1.0, 1e6])
+def test_power_root_five_halves_exact_zero_and_monotone(beta):
+    assert np.all(graphs._power_root(np.zeros(3), beta, 2.5) == 0.0)
+    # (3 sqrt(3) / 2) beta sqrt(t) = 1: the trigonometric / hyperbolic switch
+    t_switch = 4.0 / (27.0 * beta**2)
+    t = np.linspace(0.5, 2.0, 200_001) * t_switch
+    xi = graphs._power_root(t, beta, 2.5)
+    assert np.all(np.diff(xi) >= 0.0)
+    for k in (0, 100_000, 100_001, 200_000):
+        assert xi[k] == pytest.approx(_oracle_power_root(t[k], beta, 2.5), rel=1e-12)
+
+
+def test_power_root_five_halves_non_finite_input_stays_non_finite():
+    with np.errstate(invalid="ignore"):
+        xi = graphs._power_root(np.array([np.inf, np.nan, 1.0]), 1.0, 2.5)
+    assert not np.isfinite(xi[0]) and not np.isfinite(xi[1]) and np.isfinite(xi[2])
+
+
+class _CountingNumpy:
+    """numpy, counting the calls that the generic loops of ``_power_root``
+    make once (``abs``, Newton) or twice (``where``, bisection) per iteration."""
+
+    def __init__(self):
+        self.calls = {"abs": 0, "where": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, *args):
+        self.calls["abs"] += 1
+        return np.abs(*args)
+
+    def where(self, *args):
+        self.calls["where"] += 1
+        return np.where(*args)
+
+
+@pytest.mark.parametrize("q", [1.5, 1.8, 2.7])
+@pytest.mark.parametrize("t", [1e4, 1e8, 1e12])
+def test_power_root_generic_paths_stop_relative_at_large_t(monkeypatch, q, t):
+    # an absolute stop of BISECT_TOL can never be met once ulp(xi) exceeds it
+    counting = _CountingNumpy()
+    monkeypatch.setattr(graphs, "np", counting)
+    got = graphs._power_root(np.array([t]), 1.0, q)[0]
+    monkeypatch.undo()
+    assert got == pytest.approx(_oracle_power_root(t, 1.0, q), rel=1e-12, abs=0.0)
+    if q > 2.0:
+        assert counting.calls["abs"] < 60  # the Newton cap
+    else:
+        assert counting.calls["where"] < 2 * graphs.BISECT_MAX_ITER
+
+
 def test_resolvent_matches_oracle_on_all_kinds():
     rng = np.random.default_rng(7)
     for G in LIBRARY_GRAPHS.values():
@@ -250,7 +321,8 @@ KIND_COMBOS = [(k1, k2) for k1 in KINDS for k2 in KINDS] + [
 graph_params = st.fixed_dictionaries(
     {
         "alpha": st.floats(0.0, 5.0),
-        # repeated exponents merge, and q = 2, 3 take the quadratic closed forms
+        # repeated exponents merge; q = 2, 3 take the quadratic closed forms
+        # and q = 2.5 the cubic one
         "q": st.sampled_from([1.5, 2.0, 2.5, 3.0]) | st.floats(1.1, 4.0),
         "level": st.floats(0.05, 5.0),
         "slope": st.floats(0.0, 5.0),
@@ -316,6 +388,15 @@ def test_resolvent_slope_matches_difference_quotient(kinds, params, weights, r):
     x_lo, x_hi = resolve_terms(np.asarray([r - eps, r + eps]), terms)
     if lo < x_lo and x_hi < hi and abs(x) > 1e-2:  # smooth near r (q < 2 is singular at 0)
         assert slope == pytest.approx((x_hi - x_lo) / (2.0 * eps), rel=1e-3, abs=1e-6)
+
+
+def test_resolvent_slope_ignores_power_weight_that_underflows():
+    # lam * alpha = 0.05 * 5e-324 rounds to 0: the term is absent, as in the resolvent
+    G = power_graph(5e-324, 1.5)
+    x = np.array([0.0, 1.0])
+    with np.errstate(all="raise"):
+        assert np.all(resolvent_slope(x, [(0.05, G)]) == 1.0)
+        assert np.all(resolve_terms(x, [(0.05, G)]) == x)
 
 
 def test_resolvent_slope_of_custom_sums_is_zero():
