@@ -4,7 +4,8 @@
 problem pair: ordered initial data, dominating interior and boundary graphs
 (via ``graphs.dominates``), ordered reactions and the quasimonotone
 structure condition.  ``run_pair`` then advances both problems on a shared
-time grid and records the ordering defect
+time grid, through the same adaptive driver as ``stepper.run``, and records
+the ordering defect
 
     d(t) = max_k sup (u1^k - u2^k)^+
 
@@ -31,20 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantViolation, SolverFailure
+from .errors import ConfigurationError
 from .graphs import DominationVerdict, dominates
 from .mesh import positive_part_l2, sup_norm
 from .reactions import OrderVerdict, ScResult, check_order_F, check_sc, lipschitz_bound
-from .stepper import (
-    ProblemSpec,
-    TimeControl,
-    Trajectory,
-    _AdaptiveRun,
-    detect_blowup,
-    propose_dt,
-    run,
-    step,
-)
+from .stepper import ProblemSpec, TimeControl, Trajectory, _advance, detect_blowup, run
 
 __all__ = [
     "AssumptionReport",
@@ -252,8 +244,9 @@ def run_pair(
     Requires the assumption report to pass (or the failing hypotheses to be
     overridden a priori).  Both problems advance with the pairwise minimum
     of their adaptive step proposals so every sample is taken at identical
-    times; stops at t_end or as soon as either run blows up.  ``observer``
-    (as in ``stepper.run``) is applied to both runs.
+    times.  Each run is classified as ``stepper.run`` would classify it,
+    and both stop at t_end or at the first sample where either blows up or
+    fails.  ``observer`` (as in ``stepper.run``) is applied to both runs.
     """
     if assumptions is None:
         assumptions = check_assumptions(P1, P2, a3_apriori=a3_apriori, a4_apriori=a4_apriori)
@@ -264,61 +257,14 @@ def run_pair(
 
     m = P1.m
     mesh = P1.mesh
-    r1 = _AdaptiveRun(P1, tc, observer)
-    r2 = _AdaptiveRun(P2, tc, observer)
-    defects = [ordering_defect(r1.state, r2.state)]
-    energies = [_positive_part_energy(mesh, r1.state, r2.state)]
-    dt_prev = tc.dt_init
+    defects: list[float] = []
+    energies: list[float] = []
 
-    while tc.t_end - r1.t > tc.dt_min:
-        dt = min(
-            propose_dt(P1, r1.state, tc, dt_prev),
-            propose_dt(P2, r2.state, tc, dt_prev),
-            tc.t_end - r1.t,
-        )
-        failed = None
-        while True:
-            if dt < tc.dt_min:
-                for r in (r1, r2):
-                    r.classify_collapse()
-                failed = "collapse"
-                break
-            try:
-                new1 = step(P1, r1.state, dt, factors=r1.factors)
-                new2 = step(P2, r2.state, dt, factors=r2.factors)
-                break
-            except SolverFailure:
-                dt *= 0.5
-            except InvariantViolation as exc:
-                r1.status = r2.status = "solver_failure"
-                r1.note = r2.note = str(exc)
-                failed = "invariant"
-                break
-        if failed:
-            break
-        if not (np.all(np.isfinite(new1)) and np.all(np.isfinite(new2))):
-            r1.status = r2.status = "solver_failure"
-            r1.note = r2.note = "non-finite state encountered"
-            break
-        r1.state, r2.state = new1, new2
-        r1.t = r2.t = r1.t + dt
-        dt_prev = dt
-        r1.record(dt)
-        r2.record(dt)
-        defects.append(ordering_defect(r1.state, r2.state))
-        energies.append(_positive_part_energy(mesh, r1.state, r2.state))
-        blew1 = r1.overall_sup() >= tc.blowup_threshold
-        blew2 = r2.overall_sup() >= tc.blowup_threshold
-        if blew1 or blew2:
-            if blew1:
-                r1.status = "blowup"
-                r1.note = "sup norm reached the blow-up threshold"
-            if blew2:
-                r2.status = "blowup"
-                r2.note = "sup norm reached the blow-up threshold"
-            break
+    def on_sample(S1: np.ndarray, S2: np.ndarray) -> None:
+        defects.append(ordering_defect(S1, S2))
+        energies.append(_positive_part_energy(mesh, S1, S2))
 
-    traj1, traj2 = r1.finish(), r2.finish()
+    traj1, traj2 = _advance([P1, P2], tc, observer, on_sample)
     times = traj1.times
     dts = traj1.dts
     energies = np.asarray(energies)

@@ -265,7 +265,8 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
     given by Viete's trigonometric form (three real roots, x <= 1) or its
     hyperbolic form (one, x > 1); see Nickalls, Math. Gazette 77 (1993).
     For other q >= 2 the map is convex with bounded slope near 0, so Newton
-    from xi = t converges monotonically; for 1 < q < 2 the slope of
+    from min(t, (t / beta)^(1/(q-1))), above the root, converges
+    monotonically; for 1 < q < 2 the slope of
     xi^(q-1) is unbounded at 0 and monotone bisection is used instead.  Both
     stop on a step or bracket of BISECT_TOL relative to max(1, xi).
     """
@@ -276,17 +277,42 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
     if q == 2.5:
         # x = (3 sqrt(3) / 2) beta sqrt(t) and W = (2 / sqrt(3)) w, with
         # w = cos(arccos(x) / 3) for x <= 1, cosh(arccosh(x) / 3) above
-        x = (1.5 * math.sqrt(3.0) * beta) * np.sqrt(t)
+        k = 1.5 * math.sqrt(3.0) * beta
+        may_overflow = k >= 1e154  # sqrt(t) <= 1.34e154 for finite t
+        if may_overflow:
+            with np.errstate(over="ignore"):
+                x = k * np.sqrt(t)
+        else:
+            x = k * np.sqrt(t)
         w = np.cos(np.arccos(np.minimum(x, 1.0)) / 3.0)
         big = x > 1.0
         if big.any():
             w[big] = np.cosh(np.arccosh(x[big]) / 3.0)
-        return 0.75 * t / (w * w)
+        xi = 0.75 * t / (w * w)
+        if may_overflow:
+            # where x is inf, arccosh(x) = ln(2x) and w = (2x)^(1/3) / 2 to
+            # double precision, so xi = (t / beta)^(2/3)
+            over = np.isinf(x) & np.isfinite(t)
+            xi[over] = (np.cbrt(t[over]) / np.cbrt(beta)) ** 2
+        return xi
     if q == 3.0:
-        # stable root of beta*xi^2 + xi - t = 0
-        return 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * beta * t))
+        # stable root of beta*xi^2 + xi - t = 0; where 4 beta t overflows,
+        # sqrt(1 + 4 beta t) = 2 sqrt(beta) sqrt(t) to double precision
+        may_overflow = 4.0 * beta > 1.0  # else 4 beta t <= t
+        if may_overflow:
+            with np.errstate(over="ignore"):
+                s = 4.0 * beta * t
+        else:
+            s = 4.0 * beta * t
+        xi = t / (0.5 + 0.5 * np.sqrt(1.0 + s))
+        if may_overflow:
+            over = np.isinf(s) & np.isfinite(t)
+            xi[over] = np.sqrt(t[over]) / math.sqrt(beta)
+        return xi
     if q > 2.0:
-        xi = t.copy()
+        # start above the root, where beta * xi^(q-1) <= t cannot overflow
+        with np.errstate(over="ignore"):
+            xi = np.minimum(t, (t / beta) ** (1.0 / (q - 1.0)))
         for _ in range(60):
             f = xi + beta * xi ** (q - 1.0) - t
             xi_new = np.maximum(xi - f / (1.0 + beta * (q - 1.0) * xi ** (q - 2.0)), 0.0)

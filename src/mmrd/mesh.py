@@ -72,9 +72,6 @@ class Mesh:
             mask[:, 0] = mask[:, -1] = True
         return mask
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 def build_mesh(dim: int, lengths, counts) -> Mesh:
     """Uniform grid with ``counts`` nodes (boundary included) per axis."""

@@ -28,6 +28,11 @@ step (Nakagawa's tau * min(1, 1/|U|) for F = u^2), and by safety / L on
 the max-norm box, which keeps the frozen reaction order-preserving.
 dt is halved when the nonlinear solve stalls, and a run terminates
 either at t_end or with a blow-up / solver-failure classification.
+
+One adaptive driver, ``_advance``, does this for any number of problems
+on a shared time grid: ``run`` applies it to one problem, and
+``compare.run_pair`` to a (sub, super) pair with an observer of the
+ordering defect.
 """
 
 from __future__ import annotations
@@ -346,15 +351,13 @@ def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -
 
 
 class _AdaptiveRun:
-    """Bookkeeping for one problem advanced by an adaptive driver."""
+    """Bookkeeping for one problem advanced by ``_advance``."""
 
-    def __init__(self, P: ProblemSpec, tc: TimeControl, observer=None):
+    def __init__(self, P: ProblemSpec, observer=None):
         self.problem = P
-        self.tc = tc
         self.observer = observer
         self.state = P.initial_state()
         self.factors = [_BandLU() for _ in range(P.m)]
-        self.t = 0.0
         self.times: list[float] = []
         self.dts: list[float] = []
         self.sups: list[list[float]] = []
@@ -362,15 +365,14 @@ class _AdaptiveRun:
         self.extras: dict[str, list[float]] = {}
         self.status = "completed"
         self.note = ""
-        self.record(0.0)
 
-    def record(self, dt: float) -> None:
-        self.times.append(self.t)
+    def record(self, t: float, dt: float) -> None:
+        self.times.append(t)
         self.dts.append(dt)
         self.sups.append([sup_norm(self.state[k]) for k in range(self.problem.m)])
         self.mins.append([float(self.state[k].min()) for k in range(self.problem.m)])
         if self.observer is not None:
-            for key, val in self.observer(self.t, self.state).items():
+            for key, val in self.observer(t, self.state).items():
                 self.extras.setdefault(key, []).append(float(val))
 
     def overall_sup(self, sample: int = -1) -> float:
@@ -405,6 +407,63 @@ class _AdaptiveRun:
         )
 
 
+def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[Trajectory]:
+    """Advance the problems on one shared adaptive time grid.
+
+    Every attempt takes the smallest step any problem proposes (and no more
+    than is left to t_end) and steps all problems in order; a
+    ``SolverFailure`` in any of them halves dt for all.  A run goes on until
+    t_end, a dt collapse, an ``InvariantViolation``, or a sample where some
+    problem's state is non-finite or reaches the blow-up threshold, which
+    ends every problem at that sample.  ``on_sample(*states)`` is called
+    after each sample, the initial one included.  ``step`` and
+    ``propose_dt`` are looked up as module globals at each call.
+    """
+    runs = [_AdaptiveRun(P, observer) for P in problems]
+    for r in runs:
+        r.record(0.0, 0.0)
+    if on_sample is not None:
+        on_sample(*(r.state for r in runs))
+    t, dt_prev = 0.0, tc.dt_init
+    stop = False
+    while not stop and tc.t_end - t > tc.dt_min:
+        dt = min([propose_dt(r.problem, r.state, tc, dt_prev) for r in runs] + [tc.t_end - t])
+        while True:
+            if dt < tc.dt_min:
+                for r in runs:
+                    r.classify_collapse()
+                return [r.finish() for r in runs]
+            try:
+                new = [step(r.problem, r.state, dt, factors=r.factors) for r in runs]
+                break
+            except SolverFailure:
+                dt *= 0.5
+            except InvariantViolation as exc:
+                # a smaller dt cannot make a non-maximal graph sum solvable
+                for r in runs:
+                    r.status, r.note = "solver_failure", str(exc)
+                return [r.finish() for r in runs]
+        t += dt
+        dt_prev = dt
+        for r, S in zip(runs, new):
+            finite = np.isfinite(S).all()
+            r.state = S if finite else np.nan_to_num(
+                S, nan=tc.blowup_threshold, posinf=tc.blowup_threshold,
+                neginf=-tc.blowup_threshold)
+            r.record(t, dt)
+            if not finite:
+                r.status = "blowup" if r.increasing() else "solver_failure"
+                r.note = "non-finite state encountered"
+                stop = True
+            elif r.overall_sup() >= tc.blowup_threshold:
+                r.status = "blowup"
+                r.note = f"sup norm reached the blow-up threshold {tc.blowup_threshold:g}"
+                stop = True
+        if on_sample is not None:
+            on_sample(*(r.state for r in runs))
+    return [r.finish() for r in runs]
+
+
 def run(P: ProblemSpec, tc: TimeControl, observer=None) -> Trajectory:
     """Advance the problem adaptively until t_end, blow-up or solver failure.
 
@@ -412,41 +471,7 @@ def run(P: ProblemSpec, tc: TimeControl, observer=None) -> Trajectory:
     step and collected into ``Trajectory.extras``.  Never raises across this
     boundary: failures are reported through ``Trajectory.status``.
     """
-    r = _AdaptiveRun(P, tc, observer)
-    dt_prev = tc.dt_init
-    while tc.t_end - r.t > tc.dt_min:
-        dt = min(propose_dt(P, r.state, tc, dt_prev), tc.t_end - r.t)
-        while True:
-            if dt < tc.dt_min:
-                r.classify_collapse()
-                return r.finish()
-            try:
-                new = step(P, r.state, dt, factors=r.factors)
-                break
-            except SolverFailure:
-                dt *= 0.5
-            except InvariantViolation as exc:
-                # a smaller dt cannot make a non-maximal graph sum solvable
-                r.status = "solver_failure"
-                r.note = str(exc)
-                return r.finish()
-        if not np.all(np.isfinite(new)):
-            r.state = np.nan_to_num(new, nan=tc.blowup_threshold, posinf=tc.blowup_threshold,
-                                    neginf=-tc.blowup_threshold)
-            r.t += dt
-            r.record(dt)
-            r.status = "blowup" if r.increasing() else "solver_failure"
-            r.note = "non-finite state encountered"
-            return r.finish()
-        r.state = new
-        r.t += dt
-        dt_prev = dt
-        r.record(dt)
-        if r.overall_sup() >= tc.blowup_threshold:
-            r.status = "blowup"
-            r.note = f"sup norm reached the blow-up threshold {tc.blowup_threshold:g}"
-            return r.finish()
-    return r.finish()
+    return _advance([P], tc, observer)[0]
 
 
 # ---------------------------------------------------------------------------

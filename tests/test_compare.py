@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import mmrd.stepper
 from mmrd.compare import (
     blowup_order_experiment,
     check_assumptions,
@@ -24,7 +25,7 @@ from mmrd.graphs import (
 from mmrd.mesh import build_mesh
 from mmrd.reactions import custom_reaction, power_reaction
 from mmrd.spectral import principal_eigenpair
-from mmrd.stepper import ProblemSpec, TimeControl
+from mmrd.stepper import ProblemSpec, TimeControl, run, step
 
 
 def make_problem(boundary, n=101, c=12.0, reaction=None, u0=None):
@@ -183,3 +184,51 @@ def test_run_pair_reports_unsolvable_inclusion_as_solver_failure():
     for traj in (rep.traj_sub, rep.traj_super):
         assert traj.status == "solver_failure"
         assert "no solution" in traj.note
+
+
+def _assert_same_trajectory(a, b):
+    for name in ("times", "dts", "sup_norms", "min_values", "final_state"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (a.status, a.note) == (b.status, b.note)
+
+
+@pytest.mark.parametrize("boundary, c, status", [
+    (extended_neumann_graph(), 12.0, "blowup"),
+    (dirichlet_graph(), 1.0, "completed"),
+])
+def test_run_pair_of_one_problem_repeats_run_bitwise(boundary, c, status):
+    P = make_problem(boundary, n=31, c=c)
+    tc = TimeControl(t_end=0.1, blowup_threshold=1e3)
+    traj = run(P, tc)
+    assert traj.status == status
+    rep = run_pair(P, P, tc)
+    _assert_same_trajectory(rep.traj_sub, traj)
+    _assert_same_trajectory(rep.traj_super, traj)
+
+
+@pytest.mark.parametrize("side", ["sub", "super"])
+def test_non_finite_state_is_classified_alike_by_run_and_run_pair(monkeypatch, side):
+    """The fifth accepted step of one problem returns inf: run and run_pair
+    both clamp it, record it and call it a blow-up, as the sup norm rose."""
+
+    def inf_at_call(k):
+        calls = []
+
+        def inf_step(P, S, dt, **kw):
+            calls.append(dt)
+            new = step(P, S, dt, **kw)
+            return np.full_like(new, np.inf) if len(calls) == k else new
+
+        monkeypatch.setattr(mmrd.stepper, "step", inf_step)
+
+    P = make_problem(extended_neumann_graph(), n=31)
+    tc = TimeControl(t_end=0.1, blowup_threshold=1e3)
+    inf_at_call(5)
+    traj = run(P, tc)
+    assert (traj.status, traj.note) == ("blowup", "non-finite state encountered")
+    inf_at_call(9 if side == "sub" else 10)  # run_pair steps sub, then super
+    rep = run_pair(P, P, tc)
+    hit = rep.traj_sub if side == "sub" else rep.traj_super
+    assert (hit.status, hit.note) == (traj.status, traj.note)
+    assert np.array_equal(hit.times, traj.times)

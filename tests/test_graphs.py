@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ def test_power_root_five_halves_non_finite_input_stays_non_finite():
     with np.errstate(invalid="ignore"):
         xi = graphs._power_root(np.array([np.inf, np.nan, 1.0]), 1.0, 2.5)
     assert not np.isfinite(xi[0]) and not np.isfinite(xi[1]) and np.isfinite(xi[2])
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 2.7])
+@pytest.mark.parametrize("t, beta", [(1e20, 1e300), (0.15, 1.7e308), (1e308, 1e200)])
+def test_power_root_where_beta_times_t_overflows(q, t, beta):
+    # beta * sqrt(t) > 7e307: Viete's x, 4 beta t and beta t^(q-1) overflow,
+    # and the root is (t / beta)^(1/(q-1)) to double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = graphs._power_root(np.array([t]), beta, q)[0]
+    assert got == pytest.approx((t / beta) ** (1.0 / (q - 1.0)), rel=1e-12, abs=0.0)
 
 
 class _CountingNumpy:
