@@ -310,12 +310,15 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
             xi[over] = np.sqrt(t[over]) / math.sqrt(beta)
         return xi
     if q > 2.0:
-        # start above the root, where beta * xi^(q-1) <= t cannot overflow
+        # start above the root, where beta * xi^(q-1) <= t; evaluated as
+        # (b xi)^(q-1) with b = beta^(1/(q-1)), it cannot overflow there
         with np.errstate(over="ignore"):
             xi = np.minimum(t, (t / beta) ** (1.0 / (q - 1.0)))
+        b = beta ** (1.0 / (q - 1.0))
         for _ in range(60):
-            f = xi + beta * xi ** (q - 1.0) - t
-            xi_new = np.maximum(xi - f / (1.0 + beta * (q - 1.0) * xi ** (q - 2.0)), 0.0)
+            s = (b * xi) ** (q - 2.0)
+            f = xi + b * xi * s - t
+            xi_new = np.maximum(xi - f / (1.0 + (q - 1.0) * b * s), 0.0)
             if (np.abs(xi_new - xi) <= BISECT_TOL * np.maximum(1.0, xi_new)).all():
                 return xi_new
             xi = xi_new
@@ -335,13 +338,18 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
 def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndarray:
     """Solve xi + sum_j beta_j * xi^(q_j-1) = t for xi >= 0, elementwise (t >= 0).
 
-    Newton from xi = t inside the bracket [0, t], which holds the root; a
-    step that leaves the current bracket or lands on 0 (terms with q < 2
-    have unbounded slope there) is replaced by bisection of the bracket.
+    Newton from xi = min(t, min_j (t / beta_j)^(1/(q_j-1))) inside the
+    bracket [0, xi], which holds the root; there no term exceeds t, so none
+    overflows.  A step that leaves the current bracket or lands on 0 (terms
+    with q < 2 have unbounded slope there) is replaced by bisection of the
+    bracket.
     """
     lo = np.zeros_like(t)
     hi = t.copy()
-    xi = t.copy()
+    with np.errstate(over="ignore"):  # an overflowed candidate is not the min
+        for beta, q in powers:
+            hi = np.minimum(hi, (t / beta) ** (1.0 / (q - 1.0)))
+    xi = hi.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(BISECT_MAX_ITER):
             f = xi - t

@@ -20,6 +20,12 @@ graph), and little between steps of equal dt.  Each run therefore keeps
 one banded LU per component across iterations and steps and uses it for
 chord steps, refactoring when dt changes or a chord step converges
 slowly or not at all (Kelley 2003, the chord and Shamanskii methods).
+The matrix has unit diagonal and off-diagonal row sums R' (c - 1) / c < 1,
+so it is strictly row diagonally dominant and its LU needs no pivoting
+(Higham 2002, ch. 9).  The bandwidth picks the back end: at bandwidth 1
+(every 1D mesh) a tridiagonal elimination in plain Python, above it
+LAPACK's dgbtrf/dgbtrs, whose scipy module is imported only when such a
+matrix is first factored, so that 1D runs never load scipy.
 
 Time steps adapt to the reaction strength: dt is capped by
 safety * max(1, r) / ell(r), with r the summed sup norm, so that above
@@ -42,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import ConfigurationError, InvariantViolation, SolverFailure
 from .graphs import MonotoneGraph, resolve_terms, resolvent_slope
@@ -192,17 +197,77 @@ def _stencil(mesh: Mesh):
 
 
 class _BandLU:
-    """Banded LU factors of one component's Newton matrix, kept across
-    Newton iterations and time steps.  ``ab`` is the dgbtrf band buffer,
-    factored in place; ``c`` is the diagonal the factors were made for, or
-    None when they must be remade before the next step."""
+    """LU factors of one component's Newton matrix, kept across Newton
+    iterations and time steps.  ``layout`` is the (bandwidth, size) they
+    are laid out for, and ``c`` the diagonal they were made for, or None
+    when they must be remade before the next step.
 
-    __slots__ = ("ab", "piv", "c")
+    At bandwidth 1 (a 1D mesh) the factors are those of a tridiagonal
+    elimination without pivoting, which the strict row diagonal dominance
+    of the matrix keeps stable: ``lower`` holds the multipliers, ``upper``
+    the super-diagonal and ``piv`` the pivots, as lists.  Above it (a 2D
+    mesh), ``ab`` is the dgbtrf band buffer, factored in place, with pivot
+    indices ``piv``.
+    """
+
+    __slots__ = ("layout", "ab", "lower", "upper", "piv", "c")
 
     def __init__(self):
+        self.layout = None
         self.ab = None
-        self.piv = None
+        self.lower = self.upper = self.piv = None
         self.c = None
+
+
+@lru_cache(maxsize=1)
+def _lapack():
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+def dgbtrf(*args, **kwargs):
+    """LAPACK dgbtrf; scipy is imported at the first call."""
+    return _lapack().dgbtrf(*args, **kwargs)
+
+
+def dgbtrs(*args, **kwargs):
+    """LAPACK dgbtrs; scipy is imported at the first call."""
+    return _lapack().dgbtrs(*args, **kwargs)
+
+
+def _tridiag_factor(lu: _BandLU, slope, up, down, c: float) -> None:
+    """Factor the tridiagonal I - diag(slope) N / c, N[p, p+1] = up[p] and
+    N[p, p-1] = down[p], by elimination without pivoting into ``lu``.
+    A pivot that is not finite and positive leaves ``lu.c`` None."""
+    upper = (slope[:-1] * up[:-1] / -c).tolist()
+    lower = [0.0]
+    piv = [1.0]
+    p = 1.0
+    for a, e in zip((slope[1:] * down[1:] / -c).tolist(), upper):
+        m = a / p
+        p = 1.0 - m * e
+        if not 0.0 < p < math.inf:
+            lu.c = None
+            return
+        lower.append(m)
+        piv.append(p)
+    upper.append(0.0)
+    lu.lower, lu.upper, lu.piv, lu.c = lower, upper, piv, c
+
+
+def _tridiag_solve(lu: _BandLU, b: np.ndarray) -> np.ndarray:
+    """Solve with the factors of ``_tridiag_factor``: forward, then back
+    substitution."""
+    upper, piv = lu.upper, lu.piv
+    y = b.tolist()
+    prev = 0.0
+    for i, m in enumerate(lu.lower):
+        prev = y[i] = y[i] - m * prev
+    nxt = 0.0
+    for i in range(len(y) - 1, -1, -1):
+        nxt = y[i] = (y[i] - upper[i] * nxt) / piv[i]
+    return np.array(y)
 
 
 def _solve_component(
@@ -217,19 +282,25 @@ def _solve_component(
 
     ``coupling`` holds (stride, up, down) neighbour weights of N and
     ``classes`` the (node indices, resolvent terms) of each node class.  The
-    generalised Jacobian I - diag(R') N / c is an M-matrix with bandwidth
-    max(stride).  Its banded LU in ``lu`` is reused while it serves (a chord
-    step): it is remade when there is none, when c changed (a new dt), after
-    a chord step that lowered max|Phi| by less than the factor
-    ``CHORD_RATE``, and at once when a chord step did not lower max|Phi|.
-    A step with fresh factors that does not lower max|Phi| is replaced by
-    the fixed-point step u <- R(q), a max-norm contraction.  Returns R
-    itself, so every node lies in its graph domains exactly.
+    generalised Jacobian I - diag(R') N / c is a strictly row diagonally
+    dominant M-matrix with bandwidth max(stride): 1 on a 1D mesh, where
+    ``_tridiag_factor``/``_tridiag_solve`` serve it, and the inner node
+    count on a 2D mesh, where LAPACK's banded LU does.  Its LU in ``lu`` is
+    reused while it serves (a chord step): it is remade when there is none,
+    when c changed (a new dt), after a chord step that lowered max|Phi| by
+    less than the factor ``CHORD_RATE``, and at once when a chord step did
+    not lower max|Phi|.  A pivot that is not finite and positive (dgbtrf's
+    info != 0) leaves no factors, and so does a step with fresh factors
+    that does not lower max|Phi|: either is replaced by the fixed-point
+    step u <- R(q), a max-norm contraction.  Returns R itself, so every
+    node lies in its graph domains exactly.
     """
     n = u.size
     bw = max(s for s, _, _ in coupling)
-    if lu.ab is None or lu.ab.shape != (3 * bw + 1, n):
-        lu.ab = np.empty((3 * bw + 1, n), order="F")  # dgbtrf layout: bw rows of LU fill-in on top
+    if lu.layout != (bw, n):
+        lu.layout = (bw, n)
+        # dgbtrf layout: bw rows of LU fill-in on top
+        lu.ab = np.empty((3 * bw + 1, n), order="F") if bw > 1 else None
         lu.c = None
     ab = lu.ab
 
@@ -248,6 +319,10 @@ def _solve_component(
         slope = np.empty(n)
         for idx, terms in classes:
             slope[idx] = resolvent_slope(x[idx], terms)
+        if ab is None:
+            (_, up, down), = coupling
+            _tridiag_factor(lu, slope, up, down, c)
+            return
         ab[bw:] = 0.0
         ab[2 * bw] = 1.0
         for s, up, down in coupling:
@@ -255,6 +330,11 @@ def _solve_component(
             ab[2 * bw + s, :-s] = -slope[s:] * down[s:] / c
         _, lu.piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
         lu.c = c if info == 0 else None
+
+    def solve(b):
+        if ab is None:
+            return _tridiag_solve(lu, b)
+        return dgbtrs(ab, bw, bw, b, lu.piv, overwrite_b=1)[0]
 
     x, res = resolve(u)
     for _ in range(MAX_ITER):
@@ -264,8 +344,7 @@ def _solve_component(
         if fresh:
             factor(x)
         if lu.c is not None:
-            delta, _ = dgbtrs(ab, bw, bw, x - u, lu.piv, overwrite_b=1)
-            v = u + delta
+            v = u + solve(x - u)
             x_v, res_v = resolve(v)
             if res_v < res:
                 if not fresh and res_v > CHORD_RATE * res:

@@ -185,6 +185,24 @@ def test_power_root_where_beta_times_t_overflows(q, t, beta):
     assert got == pytest.approx((t / beta) ** (1.0 / (q - 1.0)), rel=1e-12, abs=0.0)
 
 
+def test_power_root_generic_newton_near_the_largest_float():
+    # beta t^(q-1) = 1e-300 * (1.7e308)^1.7 ~ 1e224 < t, but t^(q-1) overflows
+    t = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = graphs._power_root(np.array([t]), 1e-300, 2.7)[0]
+    assert got == pytest.approx(t, rel=1e-12, abs=0.0)
+
+
+def test_power_sum_root_where_beta_times_t_overflows():
+    # the 1e300 xi^(3/2) term alone balances t = 1e20: xi = (1e20 / 1e300)^(2/3),
+    # and xi, xi^2 are below 1e20 * 1e-200; starting Newton at xi = t overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = graphs._power_sum_root(np.array([1e20]), [(1e300, 2.5), (1.0, 3.0)])[0]
+    assert got == pytest.approx(2.154434690031884e-187, rel=1e-12, abs=0.0)  # 10^(1/3) 1e-187
+
+
 class _CountingNumpy:
     """numpy, counting the calls that the generic loops of ``_power_root``
     make once (``abs``, Newton) or twice (``where``, bisection) per iteration."""

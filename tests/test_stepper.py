@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import mmrd.stepper
 from mmrd.errors import SolverFailure
@@ -441,6 +448,144 @@ def test_halving_after_solver_failure_refactors(monkeypatch):
     assert dt_first == dt_kept == dt_failed and dt_retry == 0.5 * dt_failed
     assert kept[0] == "dgbtrs"  # the second step starts from the first one's factors
     assert retry[0] == "dgbtrf"
+
+
+def rod_problem(n=51):
+    """1D twin of ``plate_problem``: dt stays at dt_init = 1e-3 for t <= 0.012."""
+    mesh = build_mesh(1, [1.0], [n])
+    u0 = 3.0 * np.exp(-((mesh.axes[0] - 0.5) ** 2) / 0.01)
+    return ProblemSpec(mesh, (1.0,), power_reaction(3.0), (zero_graph(),),
+                       (extended_power_graph(1.0, 2.5),), np.asarray([u0]))
+
+
+def test_constant_dt_1d_run_keeps_its_factorization(monkeypatch):
+    """The tridiagonal factors of a 1D run are kept like the banded ones:
+    at constant dt the run factors at most once per two steps."""
+    steps = []
+
+    def recording_step(P, S, dt, **kw):
+        U = step(P, S, dt, **kw)
+        steps.append((S, dt, U))
+        return U
+
+    calls = []
+    count_calls(monkeypatch, "_tridiag_factor", calls)
+    monkeypatch.setattr(mmrd.stepper, "step", recording_step)
+    P = rod_problem()
+    traj = run(P, TimeControl(t_end=0.012))
+    assert traj.status == "completed" and len(steps) == len(traj.times) - 1 == 12
+    assert 0 < len(calls) <= len(steps) // 2
+    for S, dt, U in steps:
+        assert oracle_step_residual(P, S, dt, U) <= 1e-9
+
+
+def test_1d_halving_after_solver_failure_refactors(monkeypatch):
+    """In 1D too, the retried step after a halving factors afresh before
+    its first solve, while the step before it solves with kept factors."""
+    log = []
+    count_calls(monkeypatch, "_tridiag_factor", log)
+    count_calls(monkeypatch, "_tridiag_solve", log)
+    calls = []  # (dt, factor and solve calls made) per step call
+
+    def failing_step(P, S, dt, **kw):
+        start = len(log)
+        if len(calls) == 2:
+            calls.append((dt, []))
+            raise SolverFailure("injected", 1.0)
+        U = step(P, S, dt, **kw)
+        calls.append((dt, log[start:]))
+        return U
+
+    monkeypatch.setattr(mmrd.stepper, "step", failing_step)
+    traj = run(rod_problem(n=11), TimeControl(t_end=0.003))
+    assert traj.status == "completed"
+    (dt_first, _), (dt_kept, kept), (dt_failed, _), (dt_retry, retry) = calls[:4]
+    assert dt_first == dt_kept == dt_failed and dt_retry == 0.5 * dt_failed
+    assert kept[0] == "_tridiag_solve"
+    assert retry[0] == "_tridiag_factor"
+
+
+unit_floats = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 41, 201]),
+    log_mu=st.floats(-3.0, 3.0),
+    data=st.data(),
+)
+def test_tridiagonal_factor_and_solve_match_dense_solve(n, log_mu, data):
+    """The elimination without pivoting solves I - diag(slope) N / c, with
+    resolvent slopes in [0, 1] and the 1D ghost-node weights N, as
+    numpy.linalg.solve does."""
+    mu = 10.0**log_mu
+    up, down = np.full(n, mu), np.full(n, mu)
+    up[0] = down[-1] = 2.0 * mu
+    up[-1] = down[0] = 0.0
+    c = 1.0 + 2.0 * mu
+    slope = data.draw(arrays(np.float64, n, elements=unit_floats))
+    b = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    lu = mmrd.stepper._BandLU()
+    mmrd.stepper._tridiag_factor(lu, slope, up, down, c)
+    assert lu.c == c
+    got = mmrd.stepper._tridiag_solve(lu, b)
+    A = np.eye(n) - np.diag(slope[:-1] * up[:-1] / c, 1) - np.diag(slope[1:] * down[1:] / c, -1)
+    expect = np.linalg.solve(A, b)
+    # both solves err by about cond(A) * eps, and cond(A) reaches about
+    # 2c = 4e3 at mu = 1e3: 1e-13 relative holds up to cond(A) = 100
+    tol = max(1e-13, 1e-15 * np.linalg.cond(A, np.inf))
+    assert float(np.abs(got - expect).max()) <= tol * float(np.abs(expect).max())
+
+
+def test_non_positive_pivot_leaves_no_tridiagonal_factors():
+    """A pivot that is not finite and positive (here from a NaN slope, as a
+    non-finite iterate gives) plays the role of dgbtrf's info != 0."""
+    lu = mmrd.stepper._BandLU()
+    up = down = np.ones(5)
+    mmrd.stepper._tridiag_factor(lu, np.array([0.5, 0.5, np.nan, 0.5, 0.5]), up, down, 3.0)
+    assert lu.c is None
+    mmrd.stepper._tridiag_factor(lu, np.full(5, 0.5), up, down, 3.0)
+    assert lu.c == 3.0
+
+
+def test_1d_runs_import_no_scipy_and_2d_steps_do():
+    """The 1D Newton matrix is solved in Python, so importing mmrd and its
+    CLI and running a 1D problem load no scipy module; the first 2D step
+    loads LAPACK from scipy."""
+    code = textwrap.dedent(
+        """
+        import json, sys
+        import numpy as np
+        import mmrd, mmrd.cli
+        from mmrd.graphs import zero_graph
+        from mmrd.mesh import build_mesh
+        from mmrd.reactions import zero_reaction
+        from mmrd.scenarios import build_problem, make_preset
+        from mmrd.stepper import ProblemSpec, run, step
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        P, tc = build_problem(make_preset("Pp_power", n=21))
+        status = run(P, tc).status
+        after_1d = scipy_modules()
+        mesh = build_mesh(2, [1.0, 1.0], [5, 5])
+        x, y = mesh.coords
+        Q = ProblemSpec(mesh, (1.0,), zero_reaction(), (zero_graph(),), (zero_graph(),),
+                        np.asarray([x + y]))
+        step(Q, Q.initial_state(), 1e-2)
+        print(json.dumps([status, after_1d, scipy_modules()]))
+        """
+    )
+    src = str(Path(mmrd.stepper.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    status, after_1d, after_2d = json.loads(out.stdout.splitlines()[-1])
+    assert status == "blowup"
+    assert after_1d == []
+    assert "scipy.linalg" in after_2d
 
 
 def test_rerun_with_an_unrelated_run_between_is_bitwise_equal():
