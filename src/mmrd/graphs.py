@@ -18,6 +18,11 @@ iteration on the smooth part, then clipped to the common domain.  A single
 power exponent q = 2, 5/2 or 3 (5/2 is the boundary law of every power
 preset) has a closed-form root; other exponents iterate.  Only sums that
 involve a ``custom`` graph go through monotone bisection.
+
+A ``ResolventPlan`` merges and splits one weighted sum once, with weights
+as multiples of a scale s, and gives the resolvent and its slope at any s
+by rescaling scalars only: the implicit stepper builds one per node class
+and run, and ``resolve_terms``/``resolvent_slope`` are its s = 1 case.
 """
 
 from __future__ import annotations
@@ -369,69 +374,124 @@ def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndar
     return xi
 
 
-def _smooth_split(terms: list[tuple[float, MonotoneGraph]]):
-    """Split a weighted sum of closed-form graphs into its common domain
-    [lo, hi], the leading coefficient c = 1 + sum of lam * linear slope and
-    the power part {q: sum of lam * alpha}."""
-    lo = max(G.domain_lo for _, G in terms)
-    hi = min(G.domain_hi for _, G in terms)
-    if lo > hi:
-        raise ConfigurationError("graphs with disjoint domains combined in one inclusion")
-    c = 1.0
-    powers: dict[float, float] = {}
-    for lam, G in terms:
-        if G.kind == "linear":
-            c += lam * G.params[0]
-        elif G.kind in ("power", "extended_power") and lam * G.params[0] > 0.0:
-            # a weight lam * alpha that underflows to 0 would give 0 * inf
-            # in the slope at x = 0 when q < 2
-            alpha, q = G.params
-            powers[q] = powers.get(q, 0.0) + lam * alpha
-    return lo, hi, c, powers
+class ResolventPlan:
+    """The resolvent of x + s * sum_i w_i * gamma_i(x) ∋ r for one weighted
+    graph sum, merged and split once.
 
-
-def _resolve_closed_form(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]) -> np.ndarray:
-    """Resolvent of a weighted sum of closed-form graphs.
-
-    Each kind is a smooth odd part (zero, linear slope, or power (alpha, q))
-    plus the indicator of its domain: R, [0, inf), {0} or [-level, level].
-    The sum is the smooth sum plus the indicator of the common domain
-    [lo, hi], and every finite endpoint of [lo, hi] carries a vertical
-    segment of some term, so in 1D the resolvent is the resolvent of the
-    smooth sum clipped to [lo, hi].
+    The weights w_i are multiples of the scale s, so that ``at(s)`` gives
+    the resolvent at any s by rescaling scalars only.  A sum of built-in
+    kinds is split into its common domain [lo, hi], its linear coefficient
+    sum_i w_i * slope_i and its power part {q: sum_i w_i * alpha_i}; a sum
+    with no term left after merging is the identity; a sum with a
+    ``custom`` graph keeps its terms for monotone bisection.
     """
-    lo, hi, c, powers = _smooth_split(terms)
-    t = np.abs(r) / c
-    if not powers:
-        xi = t
-    elif len(powers) == 1:
-        ((q, beta),) = powers.items()
-        xi = _power_root(t, beta / c, q)
-    else:
-        xi = _power_sum_root(t, [(beta / c, q) for q, beta in powers.items()])
-    return np.clip(np.sign(r) * xi, lo, hi)
+
+    __slots__ = ("terms", "mode", "lo", "hi", "linear", "powers")
+
+    def __init__(self, terms: Sequence[tuple[float, MonotoneGraph]]):
+        self.terms = _merge_terms(terms)
+        self.lo = max((G.domain_lo for _, G in self.terms), default=-math.inf)
+        self.hi = min((G.domain_hi for _, G in self.terms), default=math.inf)
+        if self.lo > self.hi:
+            raise ConfigurationError("graphs with disjoint domains combined in one inclusion")
+        self.linear = 0.0
+        self.powers: dict[float, float] = {}
+        if not self.terms:
+            self.mode = "identity"
+        elif all(G.kind in CLOSED_FORM_KINDS for _, G in self.terms):
+            self.mode = "closed"
+            for w, G in self.terms:
+                if G.kind == "linear":
+                    self.linear += w * G.params[0]
+                elif G.kind in ("power", "extended_power") and w * G.params[0] > 0.0:
+                    alpha, q = G.params
+                    self.powers[q] = self.powers.get(q, 0.0) + w * alpha
+        else:
+            self.mode = "generic"
+
+    @property
+    def key(self):
+        """Equal keys give equal resolvents at every s."""
+        if self.mode == "generic":
+            return tuple((w, id(G)) for w, G in self.terms)
+        return (self.mode, self.lo, self.hi, self.linear, tuple(sorted(self.powers.items())))
+
+    def at(self, s: float) -> "_ScaledResolvent":
+        return _ScaledResolvent(self, s)
+
+
+class _ScaledResolvent:
+    """``ResolventPlan`` at one scale s: x -> R(r) by ``value`` and the
+    slope dR/dr at R(r) = x by ``slope``.
+
+    On the closed-form path R(r) = clip(sign(r) * xi, lo, hi), xi the root
+    of c * xi + sum_q s * A_q * xi^(q-1) = |r|, c = 1 + s * linear.  Every
+    finite endpoint of [lo, hi] carries a vertical segment of some term, so
+    clipping the resolvent of the smooth sum is exact.  A power term whose
+    coefficient rounds to 0 is dropped, as its value is then exactly 0 and
+    it would give 0 * inf in the slope at x = 0 when q < 2.
+    """
+
+    __slots__ = ("mode", "lo", "hi", "bounded", "c", "roots", "slopes", "terms")
+
+    def __init__(self, plan: ResolventPlan, s: float):
+        # a term whose weight s * w rounds to 0 is absent, as in _merge_terms
+        self.terms = [(s * w, G) for w, G in plan.terms if s * w > 0.0]
+        self.mode = plan.mode if self.terms else "identity"
+        self.lo, self.hi = plan.lo, plan.hi
+        self.bounded = math.isfinite(plan.lo) or math.isfinite(plan.hi)
+        self.c = 1.0 + s * plan.linear
+        scaled = [(q, s * A) for q, A in plan.powers.items()]
+        self.roots = [(b / self.c, q) for q, b in scaled if b / self.c > 0.0]
+        self.slopes = [(b * (q - 1.0), q - 2.0) for q, b in scaled if b * (q - 1.0) > 0.0]
+
+    def value(self, r: np.ndarray) -> np.ndarray:
+        """R(r); the identity returns r itself."""
+        if self.mode == "identity":
+            return r
+        if self.mode == "generic":
+            return _resolve_generic(r, self.terms)
+        if not self.roots:
+            x = r / self.c  # sign(r) * |r| / c, exactly
+        else:
+            t = np.abs(r)
+            if self.c != 1.0:
+                t /= self.c
+            if len(self.roots) == 1:
+                ((beta, q),) = self.roots
+                xi = _power_root(t, beta, q)
+            else:
+                xi = _power_sum_root(t, self.roots)
+            x = np.copysign(xi, r)
+        if self.lo > -math.inf:
+            np.maximum(x, self.lo, out=x)
+        if self.hi < math.inf:
+            np.minimum(x, self.hi, out=x)
+        return x
+
+    def slope(self, x: np.ndarray) -> np.ndarray:
+        """dR/dr at R(r) = x: 1 / (c + sum_q s * A_q * (q-1) * |x|^(q-2))
+        where x lies strictly inside [lo, hi], 0 where it was clipped to an
+        endpoint; an element of the generalised (Clarke) derivative, as used
+        by a semismooth Newton solve.  Sums with a ``custom`` graph get 0."""
+        if self.mode != "closed":
+            return np.ones_like(x) if self.mode == "identity" else np.zeros_like(x)
+        if not self.slopes:
+            out = np.full_like(x, 1.0 / self.c)
+        else:
+            ax = np.abs(x)
+            denom = np.full_like(x, self.c)
+            with np.errstate(divide="ignore"):  # |x|^(q-2) is infinite at 0 when q < 2
+                for coef, e in self.slopes:
+                    denom += coef * ax**e
+            out = 1.0 / denom
+        return np.where((x > self.lo) & (x < self.hi), out, 0.0) if self.bounded else out
 
 
 def resolvent_slope(x, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray:
     """Derivative dx/dr of the resolvent of ``resolve_terms``, given its
-    value x: 1 / (1 + sum_i lam_i * g_i'(x)) where x lies strictly inside
-    the common domain, 0 where it was clipped to an endpoint.
-
-    This is an element of the generalised (Clarke) derivative, as used by a
-    semismooth Newton solve.  Sums with a ``custom`` graph get slope 0.
-    """
-    x = np.asarray(x, dtype=float)
-    terms = _merge_terms(terms)
-    if not terms:
-        return np.ones_like(x)
-    if not all(G.kind in CLOSED_FORM_KINDS for _, G in terms):
-        return np.zeros_like(x)
-    lo, hi, c, powers = _smooth_split(terms)
-    denom = np.full_like(x, c)
-    with np.errstate(divide="ignore"):  # |x|^(q-2) is infinite at 0 when q < 2
-        for q, beta in powers.items():
-            denom += beta * (q - 1.0) * np.abs(x) ** (q - 2.0)
-    return np.where((x > lo) & (x < hi), 1.0 / denom, 0.0)
+    value x (see ``_ScaledResolvent.slope``)."""
+    return ResolventPlan(terms).at(1.0).slope(np.asarray(x, dtype=float))
 
 
 def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[float, MonotoneGraph]]:
@@ -454,36 +514,14 @@ def resolve_terms(r, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray
     """Solve x + sum_i lam_i * gamma_i(x) ∋ r elementwise.
 
     ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0.  Sums of
-    built-in kinds are solved without bisection (see
-    ``_resolve_closed_form``); a sum with a ``custom`` graph is solved by
-    monotone bisection and raises InvariantViolation when some entry of
-    ``r`` is not attained (the graph sum is then not a maximal monotone
-    representation).
+    built-in kinds are solved without bisection (see ``ResolventPlan``); a
+    sum with a ``custom`` graph is solved by monotone bisection and raises
+    InvariantViolation when some entry of ``r`` is not attained (the graph
+    sum is then not a maximal monotone representation).
     """
     r = np.asarray(r, dtype=float)
-    terms = _merge_terms(terms)
-    if not terms:
-        return r.copy()
-    if len(terms) == 1:
-        lam, G = terms[0]
-        k = G.kind
-        if k == "linear":
-            return r / (1.0 + lam * G.params[0])
-        if k == "dirichlet":
-            return np.zeros_like(r)
-        if k == "obstacle":
-            return np.clip(r, -G.params[0], G.params[0])
-        if k == "extended_neumann":
-            return np.maximum(r, 0.0)
-        if k == "power":
-            alpha, q = G.params
-            return np.sign(r) * _power_root(np.abs(r), lam * alpha, q)
-        if k == "extended_power":
-            alpha, q = G.params
-            return np.where(r <= 0.0, 0.0, _power_root(np.maximum(r, 0.0), lam * alpha, q))
-    if all(G.kind in CLOSED_FORM_KINDS for _, G in terms):
-        return _resolve_closed_form(r, terms)
-    return _resolve_generic(r, terms)
+    x = ResolventPlan(terms).at(1.0).value(r)
+    return r.copy() if x is r else x
 
 
 def _resolve_generic(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]) -> np.ndarray:

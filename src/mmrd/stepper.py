@@ -8,24 +8,32 @@ solves, per component,
 with the boundary rows closed through the ghost-node flux inclusion
 -a * d_nu u in gamma(u).  Divided by its diagonal c, each row is the nodal
 fixed point u = R((rhs + N u) / c), with N the neighbour sum and R the
-scalar resolvent of the node's graphs (``graphs.resolve_terms``).  One
-semismooth Newton solve of this fixed point serves 1D and 2D.  It returns
-R itself, so every node lies inside the graph domains exactly, which is
-what makes constant states exact equilibria, nonnegative data stay
+scalar resolvent of the node's graphs (a ``graphs.ResolventPlan``).  The
+frozen reaction decouples the components, so one semismooth Newton solve
+serves all m of them, 1D and 2D: its Jacobian is block diagonal, one block
+per component, and each component stops on its own residual test.  It
+returns R itself, so every node lies inside the graph domains exactly,
+which is what makes constant states exact equilibria, nonnegative data stay
 nonnegative, and ordered states stay ordered.
 
-Diffusion is linear, so the Newton matrix I - diag(R') N / c changes only
-where the resolvent slope R' moves (the boundary rows, for a zero interior
-graph), and little between steps of equal dt.  Each run therefore keeps
-one banded LU per component across iterations and steps and uses it for
-chord steps, refactoring when dt changes or a chord step converges
-slowly or not at all (Kelley 2003, the chord and Shamanskii methods).
-The matrix has unit diagonal and off-diagonal row sums R' (c - 1) / c < 1,
-so it is strictly row diagonally dominant and its LU needs no pivoting
-(Higham 2002, ch. 9).  The bandwidth picks the back end: at bandwidth 1
-(every 1D mesh) a tridiagonal elimination in plain Python, above it
-LAPACK's dgbtrf/dgbtrs, whose scipy module is imported only when such a
-matrix is first factored, so that 1D runs never load scipy.
+Each run keeps one workspace per problem (``_Workspace``), built once: the
+stencil and the resolvent plans of the node classes, grouped across
+components where they agree.  Per dt it only rescales them, and dt is
+unchanged on most steps.  Diffusion is linear, so the Newton matrix
+I - diag(R') N / c changes only where the resolvent slope R' moves (the
+boundary rows, for a zero interior graph), and little between steps of
+equal dt.  The workspace therefore also keeps the matrix's banded LU
+across iterations and steps and uses it for chord steps, refactoring when
+dt changes or a chord step converges slowly or not at all (Kelley 2003,
+the chord and Shamanskii methods).  The matrix has unit diagonal and
+off-diagonal row sums R' (c - 1) / c < 1, so it is strictly row diagonally
+dominant and its LU needs no pivoting (Higham 2002, ch. 9).  The ghost-node
+stencil weighs nothing across the last node row of each axis, so stacking
+the components keeps the bandwidth of one block, and the bandwidth picks
+the back end: at bandwidth 1 (every 1D mesh) a tridiagonal elimination in
+plain Python, above it LAPACK's dgbtrf/dgbtrs, whose scipy module is
+imported only when such a matrix is first factored, so that 1D runs never
+load scipy.
 
 Time steps adapt to the reaction strength: dt is capped by
 safety * max(1, r) / ell(r), with r the summed sup norm, so that above
@@ -50,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation, SolverFailure
-from .graphs import MonotoneGraph, resolve_terms, resolvent_slope
+from .graphs import MonotoneGraph, ResolventPlan
 from .mesh import Mesh, sup_norm
 from .reactions import Reaction, ell, eval_reaction, lipschitz_bound
 
@@ -196,29 +204,6 @@ def _stencil(mesh: Mesh):
     return tuple(axes), classes
 
 
-class _BandLU:
-    """LU factors of one component's Newton matrix, kept across Newton
-    iterations and time steps.  ``layout`` is the (bandwidth, size) they
-    are laid out for, and ``c`` the diagonal they were made for, or None
-    when they must be remade before the next step.
-
-    At bandwidth 1 (a 1D mesh) the factors are those of a tridiagonal
-    elimination without pivoting, which the strict row diagonal dominance
-    of the matrix keeps stable: ``lower`` holds the multipliers, ``upper``
-    the super-diagonal and ``piv`` the pivots, as lists.  Above it (a 2D
-    mesh), ``ab`` is the dgbtrf band buffer, factored in place, with pivot
-    indices ``piv``.
-    """
-
-    __slots__ = ("layout", "ab", "lower", "upper", "piv", "c")
-
-    def __init__(self):
-        self.layout = None
-        self.ab = None
-        self.lower = self.upper = self.piv = None
-        self.c = None
-
-
 @lru_cache(maxsize=1)
 def _lapack():
     from scipy.linalg import lapack
@@ -236,33 +221,33 @@ def dgbtrs(*args, **kwargs):
     return _lapack().dgbtrs(*args, **kwargs)
 
 
-def _tridiag_factor(lu: _BandLU, slope, up, down, c: float) -> None:
-    """Factor the tridiagonal I - diag(slope) N / c, N[p, p+1] = up[p] and
-    N[p, p-1] = down[p], by elimination without pivoting into ``lu``.
-    A pivot that is not finite and positive leaves ``lu.c`` None."""
-    upper = (slope[:-1] * up[:-1] / -c).tolist()
+def _tridiag_factor(sub: np.ndarray, sup: np.ndarray):
+    """Factor the tridiagonal matrix with unit diagonal, sub-diagonal
+    ``sub`` and super-diagonal ``sup`` by elimination without pivoting.
+    Returns the multipliers, the super-diagonal and the pivots, as lists,
+    or None when a pivot is not finite and positive."""
+    upper = sup.tolist()
     lower = [0.0]
     piv = [1.0]
     p = 1.0
-    for a, e in zip((slope[1:] * down[1:] / -c).tolist(), upper):
+    for a, e in zip(sub.tolist(), upper):
         m = a / p
         p = 1.0 - m * e
         if not 0.0 < p < math.inf:
-            lu.c = None
-            return
+            return None
         lower.append(m)
         piv.append(p)
     upper.append(0.0)
-    lu.lower, lu.upper, lu.piv, lu.c = lower, upper, piv, c
+    return lower, upper, piv
 
 
-def _tridiag_solve(lu: _BandLU, b: np.ndarray) -> np.ndarray:
+def _tridiag_solve(factors, b: np.ndarray) -> np.ndarray:
     """Solve with the factors of ``_tridiag_factor``: forward, then back
     substitution."""
-    upper, piv = lu.upper, lu.piv
+    lower, upper, piv = factors
     y = b.tolist()
     prev = 0.0
-    for i, m in enumerate(lu.lower):
+    for i, m in enumerate(lower):
         prev = y[i] = y[i] - m * prev
     nxt = 0.0
     for i in range(len(y) - 1, -1, -1):
@@ -270,131 +255,180 @@ def _tridiag_solve(lu: _BandLU, b: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-def _solve_component(
-    u: np.ndarray,
-    rhs: np.ndarray,
-    c: float,
-    coupling: list[tuple[int, np.ndarray, np.ndarray]],
-    classes: list[tuple[np.ndarray, list]],
-    lu: _BandLU,
-) -> np.ndarray:
-    """Semismooth Newton on Phi(u) = u - R((rhs + N u) / c) for one component.
+class _Workspace:
+    """What the Newton solves of one problem reuse across iterations and
+    time steps.
 
-    ``coupling`` holds (stride, up, down) neighbour weights of N and
-    ``classes`` the (node indices, resolvent terms) of each node class.  The
-    generalised Jacobian I - diag(R') N / c is a strictly row diagonally
-    dominant M-matrix with bandwidth max(stride): 1 on a 1D mesh, where
-    ``_tridiag_factor``/``_tridiag_solve`` serve it, and the inner node
-    count on a 2D mesh, where LAPACK's banded LU does.  Its LU in ``lu`` is
-    reused while it serves (a chord step): it is remade when there is none,
-    when c changed (a new dt), after a chord step that lowered max|Phi| by
-    less than the factor ``CHORD_RATE``, and at once when a chord step did
-    not lower max|Phi|.  A pivot that is not finite and positive (dgbtrf's
-    info != 0) leaves no factors, and so does a step with fresh factors
-    that does not lower max|Phi|: either is replaced by the fixed-point
-    step u <- R(q), a max-norm contraction.  Returns R itself, so every
-    node lies in its graph domains exactly.
+    The m components are stacked into one vector of m * n nodes, component
+    by component.  Set up once: the stencil, and the node classes of all
+    components grouped by the ``ResolventPlan`` of their (interior,
+    boundary) pair, with unit weights 1 and the class's boundary flux, and
+    by diffusion coefficient, so that each group is resolved in one call;
+    classes whose plan is the identity need no call and are left out.  Set
+    up per dt by ``rescale``: ``coupling``, the (stride, up, down) neighbour
+    weights of each axis on (m, n) arrays, ``c``, the components' diagonals
+    as an (m, 1) array, and ``groups``, the (node indices, resolvent at
+    scale dt / c) of each group.
+
+    ``lu`` holds the factors of the stacked Newton matrix, made for the
+    diagonals ``key``; a ``key`` of None means they must be remade before
+    the next solve.  ``ab`` is the dgbtrf band buffer when the bandwidth is
+    above 1 (a 2D mesh), None in 1D.
     """
-    n = u.size
-    bw = max(s for s, _, _ in coupling)
-    if lu.layout != (bw, n):
-        lu.layout = (bw, n)
+
+    __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "lu", "key",
+                 "dt", "c", "cs", "coupling", "groups")
+
+    def __init__(self, P: ProblemSpec):
+        self.problem = P
+        self.m, self.n = P.m, math.prod(P.mesh.shape)
+        self.axes, node_classes = _stencil(P.mesh)
+        plans: dict = {}
+        for k in range(P.m):
+            for w, idx in node_classes:
+                plan = ResolventPlan([(1.0, P.interior[k]), (w, P.boundary[k])])
+                if plan.mode != "identity":
+                    # one diffusion coefficient gives one c, so one scale
+                    group = (P.diffusion[k], plan.key)
+                    plans.setdefault(group, (k, plan, []))[2].append(k * self.n + idx)
+        self.plans = [(k, plan, np.sort(np.concatenate(idx))) for k, plan, idx in plans.values()]
+        self.bw = max(stride for stride, _, _ in self.axes)
         # dgbtrf layout: bw rows of LU fill-in on top
-        lu.ab = np.empty((3 * bw + 1, n), order="F") if bw > 1 else None
-        lu.c = None
-    ab = lu.ab
+        self.ab = np.empty((3 * self.bw + 1, self.m * self.n), order="F") if self.bw > 1 else None
+        self.lu = self.key = self.dt = None
+
+    def rescale(self, dt: float) -> None:
+        """Make the per-dt setup for the step size dt."""
+        P = self.problem
+        mus = [[a * dt / h**2 for h in P.mesh.spacing] for a in P.diffusion]
+        self.cs = tuple(1.0 + 2.0 * sum(mu) for mu in mus)
+        self.c = np.array(self.cs)[:, None]
+        self.coupling = []
+        for ax, (stride, up, down) in enumerate(self.axes):
+            mu = np.array([row[ax] for row in mus])[:, None]
+            self.coupling.append((stride, mu * up, mu * down))
+        self.groups = [(idx, plan.at(dt / self.cs[k])) for k, plan, idx in self.plans]
+        self.dt = dt
+
+
+def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Semismooth Newton on Phi(u) = u - R((rhs + N u) / c) for all
+    components at once, on the stacked vector of ``ws``; ``rhs`` is (m, n).
+
+    The reaction is frozen within a step, so the components decouple: the
+    generalised Jacobian I - diag(R') N / c is block diagonal, one strictly
+    row diagonally dominant M-matrix per component.  The ghost-node stencil
+    weighs nothing across the last node row of each axis, so the stacked
+    matrix has the bandwidth of one block: 1 on a 1D mesh, where
+    ``_tridiag_factor``/``_tridiag_solve`` serve it, and the inner node
+    count on a 2D mesh, where LAPACK's banded LU does.
+
+    Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
+    the solve stops when every component has, or at a NaN residual (the
+    driver classifies the non-finite state).  A component that has converged may take
+    further steps while another finishes.  The LU in ``ws`` is reused while
+    it serves (a chord step), judged by the largest block residual: it is
+    remade when there is none, when some c changed (a new dt), after a chord
+    step that lowered max|Phi| by less than the factor ``CHORD_RATE``, and at
+    once when a chord step did not lower max|Phi|.  A pivot that is not
+    finite and positive (dgbtrf's info != 0) leaves no factors, and so does
+    a step with fresh factors that does not lower max|Phi|: either is
+    replaced by the fixed-point step u <- R(q), a max-norm contraction.
+    Returns R itself, so every node lies in its graph domains exactly.
+    """
+    m, n = ws.m, ws.n
+    bw, ab, c, cs = ws.bw, ws.ab, ws.c, ws.cs
+    coupling, groups = ws.coupling, ws.groups
 
     def resolve(v):
+        v2 = v.reshape(m, n)
         q = rhs.copy()
         for s, up, down in coupling:
-            q[:-s] += up[:-s] * v[s:]
-            q[s:] += down[s:] * v[:-s]
+            q[:, :-s] += up[:, :-s] * v2[:, s:]
+            q[:, s:] += down[:, s:] * v2[:, :-s]
         q /= c
-        x = np.empty_like(q)
-        for idx, terms in classes:
-            x[idx] = resolve_terms(q[idx], terms)
-        return x, float(np.abs(v - x).max())
+        x = q.reshape(-1)
+        for idx, R in groups:
+            x[idx] = R.value(x[idx])
+        return x, np.abs(v - x).reshape(m, n).max(axis=1)
+
+    def converged(x, res):
+        tol = SOLVE_TOL * np.maximum(1.0, np.abs(x).reshape(m, n).max(axis=1))
+        return not (res > tol).any()
 
     def factor(x):
-        slope = np.empty(n)
-        for idx, terms in classes:
-            slope[idx] = resolvent_slope(x[idx], terms)
+        slope = np.ones(m * n)
+        for idx, R in groups:
+            slope[idx] = R.slope(x[idx])
+        slope = slope.reshape(m, n)
+        # the entries of row p, flattened: up[p] weighs node p + s, down[p] node p - s
+        offdiag = [(s, (slope * up / -c).reshape(-1), (slope * down / -c).reshape(-1))
+                   for s, up, down in coupling]
         if ab is None:
-            (_, up, down), = coupling
-            _tridiag_factor(lu, slope, up, down, c)
-            return
-        ab[bw:] = 0.0
-        ab[2 * bw] = 1.0
-        for s, up, down in coupling:
-            ab[2 * bw - s, s:] = -slope[:-s] * up[:-s] / c
-            ab[2 * bw + s, :-s] = -slope[s:] * down[s:] / c
-        _, lu.piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
-        lu.c = c if info == 0 else None
+            ((_, sup, sub),) = offdiag
+            ws.lu = _tridiag_factor(sub[1:], sup[:-1])
+        else:
+            ab[bw:] = 0.0
+            ab[2 * bw] = 1.0
+            for s, sup, sub in offdiag:
+                ab[2 * bw - s, s:] = sup[:-s]
+                ab[2 * bw + s, :-s] = sub[s:]
+            _, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+            ws.lu = (ab, piv) if info == 0 else None
+        ws.key = cs if ws.lu is not None else None
 
     def solve(b):
         if ab is None:
-            return _tridiag_solve(lu, b)
-        return dgbtrs(ab, bw, bw, b, lu.piv, overwrite_b=1)[0]
+            return _tridiag_solve(ws.lu, b)
+        lu_ab, piv = ws.lu
+        return dgbtrs(lu_ab, bw, bw, b, piv, overwrite_b=1)[0]
 
-    x, res = resolve(u)
+    x, res_k = resolve(u)
+    res = float(res_k.max())
     for _ in range(MAX_ITER):
-        if not res > SOLVE_TOL * max(1.0, float(np.abs(x).max())):
-            return x  # converged, or non-finite: the driver classifies it
-        fresh = lu.c != c
+        if res != res or res <= SOLVE_TOL or converged(x, res_k):
+            return x
+        fresh = ws.key != cs
         if fresh:
             factor(x)
-        if lu.c is not None:
+        if ws.key is not None:
             v = u + solve(x - u)
-            x_v, res_v = resolve(v)
+            x_v, res_v_k = resolve(v)
+            res_v = float(res_v_k.max())
             if res_v < res:
                 if not fresh and res_v > CHORD_RATE * res:
-                    lu.c = None  # slow: refactor at the next iterate
-                u, x, res = v, x_v, res_v
+                    ws.key = None  # slow: refactor at the next iterate
+                u, x, res_k, res = v, x_v, res_v_k, res_v
                 continue
             if not fresh:
-                lu.c = None  # refactor at this iterate
+                ws.key = None  # refactor at this iterate
                 continue
         u = x
-        x, res = resolve(u)
+        x, res_k = resolve(u)
+        res = float(res_k.max())
     raise SolverFailure(
         f"semismooth Newton stalled: residual {res:.3e} after {MAX_ITER} iterations", res
     )
 
 
-def step(
-    P: ProblemSpec, S: np.ndarray, dt: float, factors: list[_BandLU] | None = None
-) -> np.ndarray:
-    """One backward-Euler step; raises SolverFailure when the Newton solve stalls.
+def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None = None) -> np.ndarray:
+    """One backward-Euler step for all components in one semismooth Newton
+    solve (see ``_solve``); raises SolverFailure when the solve stalls.
 
-    ``factors`` holds one kept Newton-matrix factorization per component;
-    the adaptive drivers pass the one their run owns, and without it the
-    step starts from none.  It changes the path of the solve, never the
-    stopping test its result passes.
+    ``workspace`` is the problem's ``_Workspace``, which the adaptive driver
+    keeps for the whole run; without it the step builds a fresh one.  It
+    changes the path of the solve, never the stopping test its result
+    passes.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
-    if factors is None:
-        factors = [_BandLU() for _ in range(P.m)]
+    ws = _Workspace(P) if workspace is None else workspace
+    if ws.dt != dt:
+        ws.rescale(dt)
     S = np.asarray(S, dtype=float)
     F = eval_reaction(P.reaction, S)
-    new = np.empty_like(S)
-    mesh = P.mesh
-    axes, node_classes = _stencil(mesh)
-    for k in range(P.m):
-        a = P.diffusion[k]
-        mus = [a * dt / h**2 for h in mesh.spacing]
-        c = 1.0 + 2.0 * sum(mus)
-        coupling = [(s, mu * up, mu * down) for (s, up, down), mu in zip(axes, mus)]
-        beta, gamma = P.interior[k], P.boundary[k]
-        classes = [
-            (idx, [(dt / c, beta), (dt * w / c, gamma)] if w else [(dt / c, beta)])
-            for w, idx in node_classes
-        ]
-        rhs = (S[k] + dt * F[k]).ravel()
-        new[k] = _solve_component(
-            S[k].ravel(), rhs, c, coupling, classes, factors[k]
-        ).reshape(mesh.shape)
-    return new
+    rhs = (S + dt * F).reshape(ws.m, ws.n)
+    return _solve(ws, S.reshape(-1), rhs).reshape(S.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +436,16 @@ def step(
 # ---------------------------------------------------------------------------
 
 
-def _dt_bounds(P: ProblemSpec, S: np.ndarray) -> dict[str, float]:
-    """The rates that cap dt at safety / rate, by name: the growth envelope
-    ell(r) relative to max(1, r), r the summed sup norm, and the Lipschitz
-    bound on the max-norm box."""
-    sup_total = float(sum(sup_norm(S[k]) for k in range(P.m)))
-    box = float(max(sup_norm(S[k]) for k in range(P.m)))
-    growth = ell(P.reaction, sup_total)
-    return {
-        f"growth envelope ell({sup_total:.6g}) / max(1, {sup_total:.6g})":
-            growth if math.isinf(growth) else growth / max(1.0, sup_total),
-        f"Lipschitz bound on the box of radius {box:.6g}": lipschitz_bound(P.reaction, box),
-    }
+def _dt_rates(P: ProblemSpec, S: np.ndarray) -> tuple[float, float, float, float]:
+    """The rates that cap dt at safety / rate: the growth envelope ell(r)
+    relative to max(1, r), r the summed sup norm, and the Lipschitz bound
+    on the max-norm box; then r and the box radius."""
+    sups = [sup_norm(S[k]) for k in range(P.m)]
+    r, box = float(sum(sups)), float(max(sups))
+    growth = ell(P.reaction, r)
+    if not math.isinf(growth):
+        growth /= max(1.0, r)
+    return growth, lipschitz_bound(P.reaction, box), r, box
 
 
 def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -> float:
@@ -423,20 +455,21 @@ def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -
     reaction's Lipschitz bound on the box.  A bound that overflows to inf
     gives dt = 0, which the drivers report as a collapse."""
     dt = min(tc.dt_init, 2.0 * dt_prev)
-    for bound in _dt_bounds(P, S).values():
+    for bound in _dt_rates(P, S)[:2]:
         if bound > 0:
             dt = min(dt, tc.safety / bound)
     return dt
 
 
 class _AdaptiveRun:
-    """Bookkeeping for one problem advanced by ``_advance``."""
+    """Bookkeeping for one problem advanced by ``_advance``, with the
+    problem's Newton workspace."""
 
     def __init__(self, P: ProblemSpec, observer=None):
         self.problem = P
         self.observer = observer
         self.state = P.initial_state()
-        self.factors = [_BandLU() for _ in range(P.m)]
+        self.workspace = _Workspace(P)
         self.times: list[float] = []
         self.dts: list[float] = []
         self.sups: list[list[float]] = []
@@ -461,8 +494,10 @@ class _AdaptiveRun:
         return len(self.sups) >= 2 and self.overall_sup(-1) > self.overall_sup(-2)
 
     def classify_collapse(self) -> None:
-        bounds = _dt_bounds(self.problem, self.state)
-        overflowed = [name for name, bound in bounds.items() if math.isinf(bound)]
+        growth, lipschitz, r, box = _dt_rates(self.problem, self.state)
+        names = (f"growth envelope ell({r:.6g}) / max(1, {r:.6g})",
+                 f"Lipschitz bound on the box of radius {box:.6g}")
+        overflowed = [name for name, rate in zip(names, (growth, lipschitz)) if math.isinf(rate)]
         if self.increasing():
             self.status = "blowup"
             self.note = "dt collapsed below dt_min while the sup norm was increasing"
@@ -513,7 +548,7 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
                     r.classify_collapse()
                 return [r.finish() for r in runs]
             try:
-                new = [step(r.problem, r.state, dt, factors=r.factors) for r in runs]
+                new = [step(r.problem, r.state, dt, workspace=r.workspace) for r in runs]
                 break
             except SolverFailure:
                 dt *= 0.5

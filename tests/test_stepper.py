@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,11 +412,13 @@ def test_factors_of_another_problem_still_reach_the_solution():
     dt = 1e-3
     other = plate_problem(boundary=dirichlet_graph())
     P = plate_problem()
-    factors = [mmrd.stepper._BandLU()]
-    step(other, other.initial_state(), dt, factors=factors)
+    primer = mmrd.stepper._Workspace(other)
+    step(other, other.initial_state(), dt, workspace=primer)
     c = 1.0 + 2.0 * sum(dt / h**2 for h in P.mesh.spacing)
-    assert factors[0].c == c  # the primed factors are the ones the solve starts from
-    primed = step(P, P.initial_state(), dt, factors=factors)
+    assert primer.key == (c,)  # the primed factors are the ones the solve starts from
+    workspace = mmrd.stepper._Workspace(P)
+    workspace.lu, workspace.key = primer.lu, primer.key
+    primed = step(P, P.initial_state(), dt, workspace=workspace)
     fresh = step(P, P.initial_state(), dt)
     # each state is within SOLVE_TOL * scale / (1 - kappa) of the exact one,
     # kappa = 1 - 1/c the contraction factor of the nodal fixed-point map
@@ -525,11 +528,11 @@ def test_tridiagonal_factor_and_solve_match_dense_solve(n, log_mu, data):
     c = 1.0 + 2.0 * mu
     slope = data.draw(arrays(np.float64, n, elements=unit_floats))
     b = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
-    lu = mmrd.stepper._BandLU()
-    mmrd.stepper._tridiag_factor(lu, slope, up, down, c)
-    assert lu.c == c
+    sup, sub = slope[:-1] * up[:-1] / -c, slope[1:] * down[1:] / -c
+    lu = mmrd.stepper._tridiag_factor(sub, sup)
+    assert lu is not None
     got = mmrd.stepper._tridiag_solve(lu, b)
-    A = np.eye(n) - np.diag(slope[:-1] * up[:-1] / c, 1) - np.diag(slope[1:] * down[1:] / c, -1)
+    A = np.eye(n) + np.diag(sup, 1) + np.diag(sub, -1)
     expect = np.linalg.solve(A, b)
     # both solves err by about cond(A) * eps, and cond(A) reaches about
     # 2c = 4e3 at mu = 1e3: 1e-13 relative holds up to cond(A) = 100
@@ -540,12 +543,9 @@ def test_tridiagonal_factor_and_solve_match_dense_solve(n, log_mu, data):
 def test_non_positive_pivot_leaves_no_tridiagonal_factors():
     """A pivot that is not finite and positive (here from a NaN slope, as a
     non-finite iterate gives) plays the role of dgbtrf's info != 0."""
-    lu = mmrd.stepper._BandLU()
-    up = down = np.ones(5)
-    mmrd.stepper._tridiag_factor(lu, np.array([0.5, 0.5, np.nan, 0.5, 0.5]), up, down, 3.0)
-    assert lu.c is None
-    mmrd.stepper._tridiag_factor(lu, np.full(5, 0.5), up, down, 3.0)
-    assert lu.c == 3.0
+    off = np.full(4, -0.5 / 3.0)
+    assert mmrd.stepper._tridiag_factor(np.array([-0.5, np.nan, -0.5, -0.5]) / 3.0, off) is None
+    assert mmrd.stepper._tridiag_factor(off, off) is not None
 
 
 def test_1d_runs_import_no_scipy_and_2d_steps_do():
@@ -650,3 +650,166 @@ def test_step_solves_inclusion_and_keeps_order(kinds, params, dim, log_mu, level
     P0 = ProblemSpec(mesh, (a,), zero_reaction(), (beta,), (gamma,), S1)
     U0 = step(P0, np.full((1,) + mesh.shape, C), dt)
     assert float(np.max(np.abs(U0 - C))) <= 1e-12 * max(1.0, abs(C))
+
+
+def test_power_weight_that_underflows_at_the_step_scale_gives_a_finite_step():
+    """The plan keeps w * alpha = 100 * 5e-324 at unit scale, but at the
+    step's scale s = dt / c it rounds to 0: the term must be dropped, or the
+    slope at a boundary node clipped to 0 is 0 * inf for q < 2."""
+    # the data project to 0 on the boundary, and r < 0 there keeps it at 0
+    P = scalar_problem(n=51, boundary=extended_power_graph(5e-324, 1.5),
+                       u0=lambda x: np.full_like(x, -1.0))
+    S, dt = P.initial_state(), 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        U = step(P, S, dt)
+    assert np.isfinite(U).all() and U[0, 0] == U[0, -1] == 0.0
+    assert oracle_step_residual(P, S, dt, U) <= 1e-9
+
+
+def alone(P: ProblemSpec, k: int) -> ProblemSpec:
+    """Component k of P as a one-component problem; P's reaction must act
+    on each component alone, elementwise."""
+    reaction = P.reaction
+    if reaction.kind == "zero":
+        reaction = zero_reaction()
+    else:
+        reaction = custom_reaction(1, reaction.fn)
+    return ProblemSpec(P.mesh, (P.diffusion[k],), reaction, (P.interior[k],), (P.boundary[k],),
+                       P.initial[k : k + 1])
+
+
+stacked_problems = st.fixed_dictionaries(
+    {
+        "m": st.sampled_from([2, 3]),
+        "dim": st.sampled_from([1, 2]),
+        "kinds": st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+                          min_size=3, max_size=3),
+        "params": st.lists(graph_params, min_size=6, max_size=6),
+        "log_a": st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        "scales": st.lists(st.sampled_from([1.0, 1e6]), min_size=3, max_size=3),
+        "reacting": st.booleans(),
+        "seed": st.integers(0, 2**32 - 1),
+    }
+)
+
+
+def stacked_case(d):
+    """(P, S1, S2, dt) with S1 <= S2: m components, each with its own
+    built-in (interior, boundary) pair, diffusion a_k in [1e-2, 1e2] and
+    data scale; no reaction, or the increasing diagonal F(u) = u|u|."""
+    m = d["m"]
+    mesh = build_mesh(1, [1.0], [9]) if d["dim"] == 1 else build_mesh(2, [1.0, 1.5], [6, 5])
+    graphs = [make_graph(GraphSpec(kind, **p)) for kind, p in
+              zip((g for pair in d["kinds"] for g in pair), d["params"])]
+    reaction = custom_reaction(m, lambda U: U * np.abs(U)) if d["reacting"] else zero_reaction(m)
+    rng = np.random.default_rng(d["seed"])
+    scale = np.asarray(d["scales"][:m]).reshape((m,) + (1,) * d["dim"])
+    S1 = rng.uniform(-2.0, 3.0, (m,) + mesh.shape) * scale
+    S2 = S1 + rng.uniform(0.0, 1.0, S1.shape) * (rng.random(S1.shape) < 0.7) * scale
+    P = ProblemSpec(mesh, tuple(10.0 ** la for la in d["log_a"][:m]), reaction,
+                    tuple(graphs[0 : 2 * m : 2]), tuple(graphs[1 : 2 * m : 2]), S1)
+    return P, S1, S2, 1e-2
+
+
+def diagonal(P: ProblemSpec, dt: float, k: int) -> float:
+    return 1.0 + 2.0 * sum(P.diffusion[k] * dt / h**2 for h in P.mesh.spacing)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=stacked_problems)
+def test_stacked_step_solves_every_component_and_keeps_order(d):
+    """One solve for all components: each component solves its own nodal
+    inclusions to its own relative tolerance, whatever the scale of the
+    others, and ordered data give ordered results."""
+    P, S1, S2, dt = stacked_case(d)
+    U1, U2 = step(P, S1, dt), step(P, S2, dt)
+    for k in range(P.m):
+        for S, U in ((S1, U1), (S2, U2)):
+            residual = oracle_step_residual(alone(P, k), S[k : k + 1], dt, U[k : k + 1])
+            assert residual <= 1e-9 * max(1.0, float(np.abs(U[k]).max()))
+        # each state is within SOLVE_TOL * (c - 1) * scale of the exact one
+        scale = max(1.0, float(np.abs(U2[k]).max()))
+        assert float(np.max(U1[k] - U2[k])) <= 2.0 * SOLVE_TOL * diagonal(P, dt, k) * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=stacked_problems)
+def test_stacked_step_equals_solving_each_component_alone(d):
+    """The components decouple within a step, so the stacked solve and the
+    solve of each component as a problem of its own stop within their
+    tolerances of the same exact state."""
+    P, S, _, dt = stacked_case(d)
+    U = step(P, S, dt)
+    for k in range(P.m):
+        V = step(alone(P, k), S[k : k + 1], dt)[0]
+        scale = max(1.0, float(np.abs(U[k]).max()), float(np.abs(V).max()))
+        assert float(np.abs(U[k] - V).max()) <= 2.0 * SOLVE_TOL * diagonal(P, dt, k) * scale
+
+
+def reactor_problem(n=21, scale=1.0):
+    """The NR reactor, two components; dt stays at dt_init = 1e-3."""
+    P, _ = build_problem(make_preset("NR", n=n))
+    return ProblemSpec(P.mesh, P.diffusion, P.reaction, P.interior, P.boundary,
+                       scale * P.initial_state())
+
+
+def count_rescales(monkeypatch, log):
+    original = mmrd.stepper._Workspace.rescale
+
+    def counted(self, dt):
+        log.append("rescale")
+        return original(self, dt)
+
+    monkeypatch.setattr(mmrd.stepper._Workspace, "rescale", counted)
+
+
+def test_constant_dt_two_component_run_rescales_once(monkeypatch):
+    """The per-dt setup is cached: a run whose dt never changes builds it
+    once, at its first step."""
+    log = []
+    count_rescales(monkeypatch, log)
+    traj = run(reactor_problem(), TimeControl(t_end=0.008))
+    assert traj.status == "completed" and len(traj.times) - 1 == 8
+    assert np.all(traj.dts[1:] == 1e-3)
+    assert log == ["rescale"]
+
+
+def test_two_component_halving_rescales_and_refactors_first(monkeypatch):
+    """A halved dt misses the cache: the retried step rebuilds the per-dt
+    setup, then factors afresh before its first solve, while the step before
+    it reuses both."""
+    log = []
+    count_rescales(monkeypatch, log)
+    count_calls(monkeypatch, "_tridiag_factor", log)
+    count_calls(monkeypatch, "_tridiag_solve", log)
+    calls = []  # (dt, calls made) per step call
+
+    def failing_step(P, S, dt, **kw):
+        start = len(log)
+        if len(calls) == 2:
+            calls.append((dt, []))
+            raise SolverFailure("injected", 1.0)
+        U = step(P, S, dt, **kw)
+        calls.append((dt, log[start:]))
+        return U
+
+    monkeypatch.setattr(mmrd.stepper, "step", failing_step)
+    traj = run(reactor_problem(), TimeControl(t_end=0.003))
+    assert traj.status == "completed"
+    (dt_first, first), (dt_kept, kept), (dt_failed, _), (dt_retry, retry) = calls[:4]
+    assert dt_first == dt_kept == dt_failed and dt_retry == 0.5 * dt_failed
+    assert first[:2] == ["rescale", "_tridiag_factor"]
+    assert kept[0] == "_tridiag_solve" and "rescale" not in kept
+    assert retry[:2] == ["rescale", "_tridiag_factor"]
+
+
+def test_two_component_rerun_with_an_unrelated_run_between_is_bitwise_equal():
+    """Each run owns its workspace, setup cache and factors included."""
+    P, tc = reactor_problem(), TimeControl(t_end=0.01)
+    first = run(P, tc)
+    run(reactor_problem(scale=0.5), TimeControl(t_end=0.002))
+    second = run(P, tc)
+    assert np.array_equal(first.times, second.times)
+    assert np.array_equal(first.sup_norms, second.sup_norms)
+    assert np.array_equal(first.final_state, second.final_state)
