@@ -21,8 +21,10 @@ involve a ``custom`` graph go through monotone bisection.
 
 A ``ResolventPlan`` merges and splits one weighted sum once, with weights
 as multiples of a scale s, and gives the resolvent and its slope at any s
-by rescaling scalars only: the implicit stepper builds one per node class
-and run, and ``resolve_terms``/``resolvent_slope`` are its s = 1 case.
+by rescaling scalars only.  ``resolve_terms``/``resolvent_slope`` build
+one at s = 1 from the terms they are given, or take one already scaled:
+the implicit stepper builds one per node class and run, and passes it to
+them at the step's scale.
 """
 
 from __future__ import annotations
@@ -422,35 +424,40 @@ class ResolventPlan:
 
 class _ScaledResolvent:
     """``ResolventPlan`` at one scale s: x -> R(r) by ``value`` and the
-    slope dR/dr at R(r) = x by ``slope``.
+    slope dR/dr at R(r) = x by ``slope``.  Iterating it gives its weighted
+    terms (s * w_i, gamma_i), so it can stand for them as the ``terms`` of
+    ``resolve_terms`` and ``resolvent_slope``, which then use it as it is.
 
     On the closed-form path R(r) = clip(sign(r) * xi, lo, hi), xi the root
     of c * xi + sum_q s * A_q * xi^(q-1) = |r|, c = 1 + s * linear.  Every
     finite endpoint of [lo, hi] carries a vertical segment of some term, so
-    clipping the resolvent of the smooth sum is exact.  A power term whose
-    coefficient rounds to 0 is dropped, as its value is then exactly 0 and
-    it would give 0 * inf in the slope at x = 0 when q < 2.
+    clipping the resolvent of the smooth sum is exact.  A term whose weight
+    s * w rounds to 0 is absent, as in ``_merge_terms``, and so is a power
+    term whose coefficient does: its value is then exactly 0 and it would
+    give 0 * inf in the slope at x = 0 when q < 2.
     """
 
-    __slots__ = ("mode", "lo", "hi", "bounded", "c", "roots", "slopes", "terms")
+    __slots__ = ("plan", "s", "mode", "lo", "hi", "c", "roots", "slopes")
 
     def __init__(self, plan: ResolventPlan, s: float):
-        # a term whose weight s * w rounds to 0 is absent, as in _merge_terms
-        self.terms = [(s * w, G) for w, G in plan.terms if s * w > 0.0]
-        self.mode = plan.mode if self.terms else "identity"
+        self.plan, self.s = plan, s
+        self.mode = plan.mode if any(s * w > 0.0 for w, _ in plan.terms) else "identity"
         self.lo, self.hi = plan.lo, plan.hi
-        self.bounded = math.isfinite(plan.lo) or math.isfinite(plan.hi)
         self.c = 1.0 + s * plan.linear
         scaled = [(q, s * A) for q, A in plan.powers.items()]
         self.roots = [(b / self.c, q) for q, b in scaled if b / self.c > 0.0]
         self.slopes = [(b * (q - 1.0), q - 2.0) for q, b in scaled if b * (q - 1.0) > 0.0]
+
+    def __iter__(self):
+        s = self.s
+        return ((s * w, G) for w, G in self.plan.terms if s * w > 0.0)
 
     def value(self, r: np.ndarray) -> np.ndarray:
         """R(r); the identity returns r itself."""
         if self.mode == "identity":
             return r
         if self.mode == "generic":
-            return _resolve_generic(r, self.terms)
+            return _resolve_generic(r, list(self))
         if not self.roots:
             x = r / self.c  # sign(r) * |r| / c, exactly
         else:
@@ -471,9 +478,10 @@ class _ScaledResolvent:
 
     def slope(self, x: np.ndarray) -> np.ndarray:
         """dR/dr at R(r) = x: 1 / (c + sum_q s * A_q * (q-1) * |x|^(q-2))
-        where x lies strictly inside [lo, hi], 0 where it was clipped to an
-        endpoint; an element of the generalised (Clarke) derivative, as used
-        by a semismooth Newton solve.  Sums with a ``custom`` graph get 0."""
+        where x lies strictly inside [lo, hi], 0 elsewhere (where it was
+        clipped to an endpoint, and at a non-finite x); an element of the
+        generalised (Clarke) derivative, as used by a semismooth Newton
+        solve.  Sums with a ``custom`` graph get 0."""
         if self.mode != "closed":
             return np.ones_like(x) if self.mode == "identity" else np.zeros_like(x)
         if not self.slopes:
@@ -485,13 +493,17 @@ class _ScaledResolvent:
                 for coef, e in self.slopes:
                     denom += coef * ax**e
             out = 1.0 / denom
-        return np.where((x > self.lo) & (x < self.hi), out, 0.0) if self.bounded else out
+        return np.where((x > self.lo) & (x < self.hi), out, 0.0)
+
+
+def _scaled(terms) -> _ScaledResolvent:
+    return terms if isinstance(terms, _ScaledResolvent) else ResolventPlan(terms).at(1.0)
 
 
 def resolvent_slope(x, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray:
     """Derivative dx/dr of the resolvent of ``resolve_terms``, given its
     value x (see ``_ScaledResolvent.slope``)."""
-    return ResolventPlan(terms).at(1.0).slope(np.asarray(x, dtype=float))
+    return _scaled(terms).slope(np.asarray(x, dtype=float))
 
 
 def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[float, MonotoneGraph]]:
@@ -513,14 +525,16 @@ def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[flo
 def resolve_terms(r, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray:
     """Solve x + sum_i lam_i * gamma_i(x) ∋ r elementwise.
 
-    ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0.  Sums of
-    built-in kinds are solved without bisection (see ``ResolventPlan``); a
-    sum with a ``custom`` graph is solved by monotone bisection and raises
+    ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0, or a
+    ``ResolventPlan`` at some scale (``plan.at(s)``), which is used as it
+    is instead of being merged and split again.  Sums of built-in kinds are
+    solved without bisection (see ``ResolventPlan``); a sum with a
+    ``custom`` graph is solved by monotone bisection and raises
     InvariantViolation when some entry of ``r`` is not attained (the graph
     sum is then not a maximal monotone representation).
     """
     r = np.asarray(r, dtype=float)
-    x = ResolventPlan(terms).at(1.0).value(r)
+    x = _scaled(terms).value(r)
     return r.copy() if x is r else x
 
 

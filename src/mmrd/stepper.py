@@ -8,10 +8,11 @@ solves, per component,
 with the boundary rows closed through the ghost-node flux inclusion
 -a * d_nu u in gamma(u).  Divided by its diagonal c, each row is the nodal
 fixed point u = R((rhs + N u) / c), with N the neighbour sum and R the
-scalar resolvent of the node's graphs (a ``graphs.ResolventPlan``).  The
-frozen reaction decouples the components, so one semismooth Newton solve
-serves all m of them, 1D and 2D: its Jacobian is block diagonal, one block
-per component, and each component stops on its own residual test.  It
+scalar resolvent of the node's graphs (``graphs.resolve_terms`` of a
+``graphs.ResolventPlan``).  The frozen reaction decouples the components,
+so one semismooth Newton solve serves all m of them, 1D and 2D: its
+Jacobian is block diagonal, one block per component, and each component
+stops on its own residual test.  It
 returns R itself, so every node lies inside the graph domains exactly,
 which is what makes constant states exact equilibria, nonnegative data stay
 nonnegative, and ordered states stay ordered.
@@ -58,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation, SolverFailure
-from .graphs import MonotoneGraph, ResolventPlan
+from .graphs import MonotoneGraph, ResolventPlan, resolve_terms, resolvent_slope
 from .mesh import Mesh, sup_norm
 from .reactions import Reaction, ell, eval_reaction, lipschitz_bound
 
@@ -263,12 +264,12 @@ class _Workspace:
     by component.  Set up once: the stencil, and the node classes of all
     components grouped by the ``ResolventPlan`` of their (interior,
     boundary) pair, with unit weights 1 and the class's boundary flux, and
-    by diffusion coefficient, so that each group is resolved in one call;
-    classes whose plan is the identity need no call and are left out.  Set
-    up per dt by ``rescale``: ``coupling``, the (stride, up, down) neighbour
-    weights of each axis on (m, n) arrays, ``c``, the components' diagonals
-    as an (m, 1) array, and ``groups``, the (node indices, resolvent at
-    scale dt / c) of each group.
+    by diffusion coefficient, so that each group is resolved in one
+    ``resolve_terms`` call; classes whose plan is the identity need no call
+    and are left out.  Set up per dt by ``rescale``: ``coupling``, the
+    (stride, up, down) neighbour weights of each axis on (m, n) arrays,
+    ``c``, the components' diagonals as an (m, 1) array, and ``groups``,
+    the (node indices, resolvent at scale dt / c) of each group.
 
     ``lu`` holds the factors of the stacked Newton matrix, made for the
     diagonals ``key``; a ``key`` of None means they must be remade before
@@ -349,7 +350,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         q /= c
         x = q.reshape(-1)
         for idx, R in groups:
-            x[idx] = R.value(x[idx])
+            x[idx] = resolve_terms(x[idx], R)
         return x, np.abs(v - x).reshape(m, n).max(axis=1)
 
     def converged(x, res):
@@ -359,7 +360,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     def factor(x):
         slope = np.ones(m * n)
         for idx, R in groups:
-            slope[idx] = R.slope(x[idx])
+            slope[idx] = resolvent_slope(x[idx], R)
         slope = slope.reshape(m, n)
         # the entries of row p, flattened: up[p] weighs node p + s, down[p] node p - s
         offdiag = [(s, (slope * up / -c).reshape(-1), (slope * down / -c).reshape(-1))
@@ -386,7 +387,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x, res_k = resolve(u)
     res = float(res_k.max())
     for _ in range(MAX_ITER):
-        if res != res or res <= SOLVE_TOL or converged(x, res_k):
+        if res != res or converged(x, res_k):
             return x
         fresh = ws.key != cs
         if fresh:

@@ -429,6 +429,29 @@ def test_resolvent_slope_ignores_power_weight_that_underflows():
         assert np.all(resolve_terms(x, [(0.05, G)]) == x)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.sampled_from(KIND_COMBOS),
+    params=st.lists(graph_params, min_size=3, max_size=3),
+    weights=st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3),
+    s=st.floats(1e-6, 1e3),
+)
+def test_scaled_plan_stands_for_its_scaled_terms(kinds, params, weights, s):
+    terms = _sum_terms(kinds, params, weights)
+    R = graphs.ResolventPlan(terms).at(s)
+    scaled = [(s * lam, G) for lam, G in terms if G.kind != "zero"]
+    assert [(lam, id(G)) for lam, G in R] == [(lam, id(G)) for lam, G in scaled]
+    rs = np.linspace(-6.0, 6.0, 13)
+    x = resolve_terms(rs, R)
+    np.testing.assert_allclose(x, resolve_terms(rs, scaled), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(resolvent_slope(x, R), resolvent_slope(x, scaled), rtol=1e-12, atol=1e-14)
+
+
+def test_resolvent_slope_is_zero_at_non_finite_values():
+    x = np.array([np.nan, np.inf, -np.inf, 1.0])
+    assert np.all(resolvent_slope(x, [(2.0, linear_graph(1.0))]) == [0.0, 0.0, 0.0, 1.0 / 3.0])
+
+
 def test_resolvent_slope_of_custom_sums_is_zero():
     G = custom_graph(lambda r: np.tanh(r))
     assert np.all(resolvent_slope(np.linspace(-2.0, 2.0, 5), [(1.0, G)]) == 0.0)
