@@ -16,7 +16,7 @@ from .compare import (
     ordering_defect,
     run_pair,
 )
-from .errors import ConfigurationError, InvariantViolation, SolverFailure
+from .errors import ConfigurationError, SolverFailure
 from .graphs import (
     DominationVerdict,
     GraphSpec,
@@ -24,7 +24,6 @@ from .graphs import (
     dirichlet_graph,
     dominates,
     eval_graph,
-    extend_nonneg,
     extended_neumann_graph,
     extended_power_graph,
     linear_graph,

@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Invalid user-supplied configuration (graph parameters, mesh sizes, scenarios)."""
 
 
-class InvariantViolation(RuntimeError):
-    """An internal consistency check failed, e.g. a graph inclusion has no solution."""
-
-
 class SolverFailure(RuntimeError):
     """The nonlinear solve did not converge.  Carries its last residual."""
 

@@ -1,12 +1,13 @@
 """Scalar maximal monotone graphs.
 
 A graph is represented by a closed domain interval, a single-valued
-nondecreasing selection ``g`` on that interval, and optional vertical
-segments attached at finite endpoints: ``(-inf, g(lo)]`` at the left
-endpoint and ``[g(hi), +inf)`` at the right one.  This covers every graph
-used by the boundary/interior laws in this package (Dirichlet, Neumann,
-power-law flux, their one-sided extensions to ``[0, inf)``, and obstacle
-graphs); general multivalued behaviour in the interior is out of scope.
+nondecreasing selection ``g`` on that interval, and a vertical segment at
+each finite endpoint: ``(-inf, g(lo)]`` at the left endpoint and
+``[g(hi), +inf)`` at the right one, so the graph is maximal.  A graph is
+one of seven kinds: zero, linear, power, Dirichlet, the extensions of power
+and zero flux to ``[0, inf)``, and obstacle.  These cover every
+boundary/interior law in this package, and ``MonotoneGraph`` refuses any
+other.
 
 The central operation is the resolvent ``r -> x`` solving
 ``x + lam * gamma(x) ∋ r``, also for weighted sums of several graphs
@@ -16,8 +17,7 @@ part (zero, linear or power) plus the indicator of its domain, so any
 weighted sum of them is solved in closed form or by a safeguarded Newton
 iteration on the smooth part, then clipped to the common domain.  A single
 power exponent q = 2, 5/2 or 3 (5/2 is the boundary law of every power
-preset) has a closed-form root; other exponents iterate.  Only sums that
-involve a ``custom`` graph go through monotone bisection.
+preset) has a closed-form root; other exponents iterate.
 
 A ``ResolventPlan`` merges and splits one weighted sum once, with weights
 as multiples of a scale s, and gives the resolvent and its slope at any s
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantViolation
+from .errors import ConfigurationError
 
 __all__ = [
     "MonotoneGraph",
@@ -49,8 +49,6 @@ __all__ = [
     "extended_power_graph",
     "extended_neumann_graph",
     "obstacle_graph",
-    "custom_graph",
-    "extend_nonneg",
     "eval_graph",
     "resolvent",
     "resolve_terms",
@@ -62,12 +60,7 @@ __all__ = [
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
-# Kinds whose resolvents / value sets are known in closed form.  Weighted
-# sums of these are resolved without bisection, and domination verdicts are
-# only certified (as opposed to "inconclusive") for these.
-CLOSED_FORM_KINDS = frozenset(
-    {"zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle"}
-)
+KINDS = ("zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle")
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,8 @@ class MonotoneGraph:
 
     ``selection`` must be vectorized (ndarray in, ndarray out), nondecreasing
     on the closed domain, and evaluable at finite endpoints where it returns
-    the one-sided limit.
+    the one-sided limit.  ``kind`` is one of ``KINDS``, and each finite
+    endpoint carries its vertical segment.
     """
 
     domain_lo: float
@@ -88,12 +82,15 @@ class MonotoneGraph:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigurationError(f"unknown graph kind {self.kind!r}")
         if not self.domain_lo <= self.domain_hi:
             raise ConfigurationError(f"empty graph domain [{self.domain_lo}, {self.domain_hi}]")
-        if self.seg_lo and math.isinf(self.domain_lo):
-            raise ConfigurationError("vertical segment attached at an infinite left endpoint")
-        if self.seg_hi and math.isinf(self.domain_hi):
-            raise ConfigurationError("vertical segment attached at an infinite right endpoint")
+        for side, end, seg in (("left", self.domain_lo, self.seg_lo),
+                               ("right", self.domain_hi, self.seg_hi)):
+            if seg != math.isfinite(end):
+                raise ConfigurationError(
+                    f"the {side} domain endpoint {end} needs a vertical segment exactly when finite")
 
     def contains(self, r: float) -> bool:
         return self.domain_lo <= r <= self.domain_hi
@@ -178,35 +175,6 @@ def obstacle_graph(level: float) -> MonotoneGraph:
     if level <= 0:
         raise ConfigurationError(f"obstacle graph needs level > 0, got {level}")
     return MonotoneGraph(-level, level, lambda r: np.zeros_like(r), True, True, "obstacle", (level,))
-
-
-def custom_graph(
-    selection: Callable[[np.ndarray], np.ndarray],
-    domain_lo: float = -math.inf,
-    domain_hi: float = math.inf,
-    seg_lo: bool = False,
-    seg_hi: bool = False,
-) -> MonotoneGraph:
-    return MonotoneGraph(domain_lo, domain_hi, selection, seg_lo, seg_hi, "custom")
-
-
-def extend_nonneg(base: MonotoneGraph) -> MonotoneGraph:
-    """Restrict ``base`` to [0, inf) and attach (-inf, 0] to its value set at 0.
-
-    Requires 0 in base's domain with g(0) = 0 (i.e. 0 in gamma(0)); the result
-    is again monotone and agrees with ``base`` on r > 0.
-    """
-    if not base.contains(0.0) or abs(float(base.g(0.0))) > 1e-14:
-        raise ConfigurationError("extension requires a base graph with 0 in gamma(0)")
-    sel = base.selection
-    return MonotoneGraph(
-        0.0,
-        base.domain_hi,
-        lambda r: sel(np.maximum(r, 0.0)),
-        True,
-        base.seg_hi,
-        "custom",
-    )
 
 
 def _check_power_params(alpha: float, q: float) -> None:
@@ -381,11 +349,10 @@ class ResolventPlan:
     graph sum, merged and split once.
 
     The weights w_i are multiples of the scale s, so that ``at(s)`` gives
-    the resolvent at any s by rescaling scalars only.  A sum of built-in
-    kinds is split into its common domain [lo, hi], its linear coefficient
+    the resolvent at any s by rescaling scalars only.  The sum is split
+    into its common domain [lo, hi], its linear coefficient
     sum_i w_i * slope_i and its power part {q: sum_i w_i * alpha_i}; a sum
-    with no term left after merging is the identity; a sum with a
-    ``custom`` graph keeps its terms for monotone bisection.
+    with no term left after merging is the identity.
     """
 
     __slots__ = ("terms", "mode", "lo", "hi", "linear", "powers")
@@ -398,24 +365,17 @@ class ResolventPlan:
             raise ConfigurationError("graphs with disjoint domains combined in one inclusion")
         self.linear = 0.0
         self.powers: dict[float, float] = {}
-        if not self.terms:
-            self.mode = "identity"
-        elif all(G.kind in CLOSED_FORM_KINDS for _, G in self.terms):
-            self.mode = "closed"
-            for w, G in self.terms:
-                if G.kind == "linear":
-                    self.linear += w * G.params[0]
-                elif G.kind in ("power", "extended_power") and w * G.params[0] > 0.0:
-                    alpha, q = G.params
-                    self.powers[q] = self.powers.get(q, 0.0) + w * alpha
-        else:
-            self.mode = "generic"
+        self.mode = "closed" if self.terms else "identity"
+        for w, G in self.terms:
+            if G.kind == "linear":
+                self.linear += w * G.params[0]
+            elif G.kind in ("power", "extended_power") and w * G.params[0] > 0.0:
+                alpha, q = G.params
+                self.powers[q] = self.powers.get(q, 0.0) + w * alpha
 
     @property
     def key(self):
         """Equal keys give equal resolvents at every s."""
-        if self.mode == "generic":
-            return tuple((w, id(G)) for w, G in self.terms)
         return (self.mode, self.lo, self.hi, self.linear, tuple(sorted(self.powers.items())))
 
     def at(self, s: float) -> "_ScaledResolvent":
@@ -428,7 +388,7 @@ class _ScaledResolvent:
     terms (s * w_i, gamma_i), so it can stand for them as the ``terms`` of
     ``resolve_terms`` and ``resolvent_slope``, which then use it as it is.
 
-    On the closed-form path R(r) = clip(sign(r) * xi, lo, hi), xi the root
+    R(r) = clip(sign(r) * xi, lo, hi), xi the root
     of c * xi + sum_q s * A_q * xi^(q-1) = |r|, c = 1 + s * linear.  Every
     finite endpoint of [lo, hi] carries a vertical segment of some term, so
     clipping the resolvent of the smooth sum is exact.  A term whose weight
@@ -456,8 +416,6 @@ class _ScaledResolvent:
         """R(r); the identity returns r itself."""
         if self.mode == "identity":
             return r
-        if self.mode == "generic":
-            return _resolve_generic(r, list(self))
         if not self.roots:
             x = r / self.c  # sign(r) * |r| / c, exactly
         else:
@@ -481,9 +439,9 @@ class _ScaledResolvent:
         where x lies strictly inside [lo, hi], 0 elsewhere (where it was
         clipped to an endpoint, and at a non-finite x); an element of the
         generalised (Clarke) derivative, as used by a semismooth Newton
-        solve.  Sums with a ``custom`` graph get 0."""
-        if self.mode != "closed":
-            return np.ones_like(x) if self.mode == "identity" else np.zeros_like(x)
+        solve.  The identity has slope 1 everywhere."""
+        if self.mode == "identity":
+            return np.ones_like(x)
         if not self.slopes:
             out = np.full_like(x, 1.0 / self.c)
         else:
@@ -527,116 +485,13 @@ def resolve_terms(r, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray
 
     ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0, or a
     ``ResolventPlan`` at some scale (``plan.at(s)``), which is used as it
-    is instead of being merged and split again.  Sums of built-in kinds are
-    solved without bisection (see ``ResolventPlan``); a sum with a
-    ``custom`` graph is solved by monotone bisection and raises
-    InvariantViolation when some entry of ``r`` is not attained (the graph
-    sum is then not a maximal monotone representation).
+    is instead of being merged and split again.  Every graph is maximal,
+    so every entry of ``r`` has a solution, found in closed form or by a
+    safeguarded Newton iteration (see ``_ScaledResolvent``).
     """
     r = np.asarray(r, dtype=float)
     x = _scaled(terms).value(r)
     return r.copy() if x is r else x
-
-
-def _resolve_generic(r: np.ndarray, terms: list[tuple[float, MonotoneGraph]]) -> np.ndarray:
-    lo = max(G.domain_lo for _, G in terms)
-    hi = min(G.domain_hi for _, G in terms)
-    if lo > hi:
-        raise ConfigurationError("graphs with disjoint domains combined in one inclusion")
-
-    def hsum(x: np.ndarray) -> np.ndarray:
-        acc = x.astype(float, copy=True)
-        for lam, G in terms:
-            acc += lam * G.selection(x)
-        return acc
-
-    def bounds_at(point: float) -> tuple[float, float]:
-        vmin = vmax = point
-        for lam, G in terms:
-            b_lo, b_hi = _value_bounds(G, point)
-            vmin += lam * b_lo
-            vmax += lam * b_hi
-        return vmin, vmax
-
-    x = np.empty_like(r)
-    solve = np.ones(r.shape, dtype=bool)
-
-    if lo == hi:
-        vmin, vmax = bounds_at(lo)
-        if np.any((r < vmin) | (r > vmax)):
-            bad = r[(r < vmin) | (r > vmax)].flat[0]
-            raise InvariantViolation(
-                f"inclusion has no solution at r={bad}: graph not maximal at {lo}"
-            )
-        x.fill(lo)
-        return x
-
-    if math.isfinite(lo):
-        vmin_lo, vmax_lo = bounds_at(lo)
-        cap = r <= vmax_lo
-        if np.any(cap & (r < vmin_lo)):
-            bad = r[cap & (r < vmin_lo)].flat[0]
-            raise InvariantViolation(
-                f"inclusion has no solution at r={bad}: graph not maximal at {lo}"
-            )
-        x[cap] = lo
-        solve &= ~cap
-    if math.isfinite(hi):
-        vmin_hi, vmax_hi = bounds_at(hi)
-        cap = solve & (r >= vmin_hi)
-        if np.any(cap & (r > vmax_hi)):
-            bad = r[cap & (r > vmax_hi)].flat[0]
-            raise InvariantViolation(
-                f"inclusion has no solution at r={bad}: graph not maximal at {hi}"
-            )
-        x[cap] = hi
-        solve &= ~cap
-    if not np.any(solve):
-        return x
-
-    rs = r[solve]
-    # bracket the strictly increasing x + sum lam*g(x)
-    if math.isfinite(lo):
-        a = np.full(rs.shape, lo)
-    else:
-        a = np.minimum(rs, 0.0)
-        w = 1.0
-        for _ in range(BISECT_MAX_ITER):
-            open_ = hsum(a) > rs
-            if not np.any(open_):
-                break
-            a = np.where(open_, a - w, a)
-            w *= 8.0
-        else:
-            raise InvariantViolation("failed to bracket resolvent from below")
-    if math.isfinite(hi):
-        b = np.full(rs.shape, hi)
-    else:
-        b = np.maximum(rs, 0.0)
-        w = 1.0
-        for _ in range(BISECT_MAX_ITER):
-            open_ = hsum(b) < rs
-            if not np.any(open_):
-                break
-            b = np.where(open_, b + w, b)
-            w *= 8.0
-        else:
-            raise InvariantViolation("failed to bracket resolvent from above")
-
-    for _ in range(BISECT_MAX_ITER):
-        if np.max(b - a) <= BISECT_TOL:
-            break
-        mid = 0.5 * (a + b)
-        stalled = (mid <= a) | (mid >= b)
-        high = hsum(mid) > rs
-        a2 = np.where(high, a, mid)
-        b2 = np.where(high, mid, b)
-        a = np.where(stalled, a, a2)
-        b = np.where(stalled, b, b2)
-        if np.all(stalled):
-            break
-    x[solve] = 0.5 * (a + b)
-    return x
 
 
 def resolvent(G: MonotoneGraph, lam: float, r: float) -> float:
@@ -658,7 +513,7 @@ def yosida(G: MonotoneGraph, lam: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class DominationVerdict:
-    """Outcome of ``dominates``: status in {'holds', 'fails', 'inconclusive'},
+    """Outcome of ``dominates``: status in {'holds', 'fails'},
     mode in {'i', 'ii', 'iii'} when it holds, witness (r1, r2, inf1, sup2) on failure."""
 
     status: str
@@ -685,7 +540,6 @@ def _sample_domain(G: MonotoneGraph, span: float, n: int) -> np.ndarray:
 def dominates(
     G1: MonotoneGraph,
     G2: MonotoneGraph,
-    r_grid: tuple[float, int] | None = None,
     modes: Sequence[str] = ("i", "iii", "ii"),
     tol: float = 1e-9,
 ) -> DominationVerdict:
@@ -695,17 +549,11 @@ def dominates(
     (iii) sup D(G1) <= inf D(G2) (disjoint/touching domains, G1 below G2);
     (ii)  sup gamma2(r2) <= inf gamma1(r1) whenever r1 > r2 in the
           respective domains (checked on a sample grid).
-
-    ``r_grid`` is (span, count) for the sampling window per graph.  For
-    graphs without closed-form kinds a passing sampled check is reported as
-    'inconclusive' rather than 'holds'.
     """
-    span, count = r_grid if r_grid is not None else (50.0, 201)
-
+    span, count = 50.0, 201  # sampling window (-span, span) and points per graph
     if "i" in modes:
         same_structure = (
             G1.kind == G2.kind
-            and G1.kind != "custom"
             and G1.params == G2.params
             and (G1.domain_lo, G1.domain_hi, G1.seg_lo, G1.seg_hi)
             == (G2.domain_lo, G2.domain_hi, G2.seg_lo, G2.seg_hi)
@@ -734,5 +582,4 @@ def dominates(
             return DominationVerdict(
                 "fails", None, (float(r1s[i]), float(r2s[k]), float(inf1[i]), float(sup2[k]))
             )
-    certified = G1.kind in CLOSED_FORM_KINDS and G2.kind in CLOSED_FORM_KINDS
-    return DominationVerdict("holds" if certified else "inconclusive", "ii" if certified else None)
+    return DominationVerdict("holds", "ii")

@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantViolation, SolverFailure
+from .errors import ConfigurationError, SolverFailure
 from .graphs import MonotoneGraph, ResolventPlan, resolve_terms, resolvent_slope
 from .mesh import Mesh, sup_norm
 from .reactions import Reaction, ell, eval_reaction, lipschitz_bound
@@ -528,9 +528,9 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
     Every attempt takes the smallest step any problem proposes (and no more
     than is left to t_end) and steps all problems in order; a
     ``SolverFailure`` in any of them halves dt for all.  A run goes on until
-    t_end, a dt collapse, an ``InvariantViolation``, or a sample where some
-    problem's state is non-finite or reaches the blow-up threshold, which
-    ends every problem at that sample.  ``on_sample(*states)`` is called
+    t_end, a dt collapse, or a sample where some problem's state is
+    non-finite or reaches the blow-up threshold, which ends every problem
+    at that sample.  ``on_sample(*states)`` is called
     after each sample, the initial one included.  ``step`` and
     ``propose_dt`` are looked up as module globals at each call.
     """
@@ -553,11 +553,6 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
                 break
             except SolverFailure:
                 dt *= 0.5
-            except InvariantViolation as exc:
-                # a smaller dt cannot make a non-maximal graph sum solvable
-                for r in runs:
-                    r.status, r.note = "solver_failure", str(exc)
-                return [r.finish() for r in runs]
         t += dt
         dt_prev = dt
         for r, S in zip(runs, new):

@@ -257,6 +257,23 @@ def test_cli_config_error_exit_1(tmp_path):
     assert main(["run", "--preset", "no_such_preset", "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("bad", ["scenario_dir", "scenario_not_utf8", "run_out_file", "eigen_out_file"])
+def test_cli_bad_files_exit_1(tmp_path, capsys, bad):
+    not_utf8 = tmp_path / "bad.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    preset = ["--preset", "Pp_power", "--params", '{"n": 11}']
+    argv = {
+        "scenario_dir": ["run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")],
+        "scenario_not_utf8": ["run", "--scenario", str(not_utf8), "--out", str(tmp_path / "out")],
+        "run_out_file": ["run", *preset, "--out", str(a_file)],
+        "eigen_out_file": ["eigen", *preset, "--out", str(a_file)],
+    }[bad]
+    assert main(argv) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_cli_bad_params_json_exit_1(tmp_path, capsys):
     code = main(["run", "--preset", "Pp_power", "--params", "{bad", "--out", str(tmp_path / "out")])
     assert code == 1

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,14 +14,13 @@ from mmrd.compare import (
 )
 from mmrd.errors import ConfigurationError
 from mmrd.graphs import (
-    custom_graph,
     dirichlet_graph,
     extended_neumann_graph,
     extended_power_graph,
     zero_graph,
 )
 from mmrd.mesh import build_mesh
-from mmrd.reactions import custom_reaction, power_reaction
+from mmrd.reactions import power_reaction
 from mmrd.spectral import principal_eigenpair
 from mmrd.stepper import ProblemSpec, TimeControl, run, step
 
@@ -173,17 +170,6 @@ def test_reaction_ordering_pair():
     v_super = pair.traj_super
     # the run stops when the larger one blows; the smaller one has not passed it
     assert v_super.status == "blowup" or v_sub.status == "blowup"
-
-
-def test_run_pair_reports_unsolvable_inclusion_as_solver_failure():
-    G = custom_graph(lambda r: np.zeros_like(r), 0.0, math.inf, seg_lo=False)
-    mesh = build_mesh(1, [1.0], [11])
-    P = ProblemSpec(mesh, (1.0,), custom_reaction(1, lambda U: -np.ones_like(U)), (G,),
-                    (zero_graph(),), np.zeros((1,) + mesh.shape))
-    rep = run_pair(P, P, TimeControl(t_end=0.1))
-    for traj in (rep.traj_sub, rep.traj_super):
-        assert traj.status == "solver_failure"
-        assert "no solution" in traj.note
 
 
 def _assert_same_trajectory(a, b):

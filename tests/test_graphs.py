@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from mmrd import (
     ConfigurationError,
     GraphSpec,
-    InvariantViolation,
+    MonotoneGraph,
     dirichlet_graph,
     dominates,
     eval_graph,
-    extend_nonneg,
     extended_neumann_graph,
     extended_power_graph,
     linear_graph,
@@ -29,7 +28,7 @@ from mmrd import (
     zero_graph,
 )
 from mmrd import graphs
-from mmrd.graphs import custom_graph, resolve_terms, resolvent_slope
+from mmrd.graphs import resolve_terms, resolvent_slope
 from oracles import oracle_resolve_terms, oracle_resolvent
 
 
@@ -85,14 +84,23 @@ def test_make_graph_rejects_bad_parameters(spec):
         make_graph(spec)
 
 
-def test_extend_nonneg_matches_extended_kinds():
-    ge = extend_nonneg(power_graph(2.0, 2.5))
-    ref = extended_power_graph(2.0, 2.5)
-    assert eval_graph(ge, 0.0) == eval_graph(ref, 0.0) == (-math.inf, 0.0)
-    for r in (0.5, 1.0, 7.0):
-        assert eval_graph(ge, r) == pytest.approx(eval_graph(ref, r))
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-math.inf, math.inf, np.zeros_like, False, False, "custom"),
+        (-math.inf, math.inf, np.zeros_like, False, False, "nonsense"),
+        # [0, inf) without the segment at 0: r < 0 has no resolvent
+        (0.0, math.inf, np.zeros_like, False, False, "extended_neumann"),
+        # an obstacle without its upper segment: r > level has no resolvent
+        (-1.0, 1.0, np.zeros_like, True, False, "obstacle", (1.0,)),
+    ],
+    ids=["custom", "unknown_kind", "no_segment_at_0", "obstacle_no_upper_segment"],
+)
+def test_graph_of_unknown_kind_or_without_endpoint_segment_rejected(args):
+    for kind in graphs.KINDS:  # the seven factories pass the check
+        assert make_graph(GraphSpec(kind)).kind == kind
     with pytest.raises(ConfigurationError):
-        extend_nonneg(custom_graph(lambda r: r + 1.0))
+        MonotoneGraph(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +256,6 @@ def test_resolvent_matches_oracle_on_all_kinds():
             )
 
 
-def test_resolvent_no_solution_raises():
-    # domain [0, inf) without a segment at 0 is not maximal: r < 0 unattainable
-    G = custom_graph(lambda r: np.zeros_like(r), 0.0, math.inf, seg_lo=False)
-    with pytest.raises(InvariantViolation):
-        resolvent(G, 1.0, -1.0)
-
-
 def test_yosida_obstacle_piecewise_formula():
     ob = obstacle_graph(1.0)
     assert yosida(ob, 0.5, 2.0) == pytest.approx(2.0, abs=1e-12)
@@ -378,11 +379,7 @@ def test_resolve_terms_sums_match_oracle(kinds, params, weights, rs):
         assert x == pytest.approx(oracle_resolve_terms(terms, r), abs=1e-10)
 
 
-def test_resolve_terms_builtin_sums_skip_bisection(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("built-in graph sum reached the bisection resolvent")
-
-    monkeypatch.setattr(graphs, "_resolve_generic", forbidden)
+def test_resolve_terms_builtin_sums_skip_bisection():
     params = [
         {"alpha": 1.0, "q": 1.5, "level": 0.7, "slope": 2.0},
         {"alpha": 0.5, "q": 3.0, "level": 2.0, "slope": 0.5},
@@ -452,9 +449,7 @@ def test_resolvent_slope_is_zero_at_non_finite_values():
     assert np.all(resolvent_slope(x, [(2.0, linear_graph(1.0))]) == [0.0, 0.0, 0.0, 1.0 / 3.0])
 
 
-def test_resolvent_slope_of_custom_sums_is_zero():
-    G = custom_graph(lambda r: np.tanh(r))
-    assert np.all(resolvent_slope(np.linspace(-2.0, 2.0, 5), [(1.0, G)]) == 0.0)
+def test_resolvent_slope_of_empty_sum_is_one():
     assert np.all(resolvent_slope(np.linspace(-2.0, 2.0, 5), []) == 1.0)
 
 
@@ -494,13 +489,6 @@ def test_dominates_zero_vs_power_fails():
     # gamma2 = power takes positive values that the zero graph cannot dominate
     v = dominates(zero_graph(), power_graph(1.0, 2.0))
     assert v.status == "fails"
-
-
-def test_dominates_custom_inconclusive():
-    G1 = custom_graph(lambda r: np.tanh(r))
-    G2 = custom_graph(lambda r: np.tanh(r) - 1.0)
-    v = dominates(G1, G2, r_grid=(10.0, 101))
-    assert v.status == "inconclusive"
 
 
 def test_dominates_mode_restriction_for_interior_graphs():

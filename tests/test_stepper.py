@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,7 +20,6 @@ import mmrd.stepper
 from mmrd.errors import SolverFailure
 from mmrd.graphs import (
     GraphSpec,
-    custom_graph,
     dirichlet_graph,
     extended_neumann_graph,
     extended_power_graph,
@@ -251,18 +249,6 @@ def test_run_reports_overflowing_envelope_as_collapse():
     assert isinstance(traj, Trajectory)
     assert traj.status == "solver_failure"
     assert "collapsed" in traj.note
-
-
-def test_run_reports_unsolvable_inclusion_as_solver_failure():
-    # domain [0, inf) without a segment at 0 is not maximal: the reaction
-    # pushes r below 0, where the inclusion has no solution
-    G = custom_graph(lambda r: np.zeros_like(r), 0.0, math.inf, seg_lo=False)
-    P = scalar_problem(n=11, reaction=custom_reaction(1, lambda U: -np.ones_like(U)),
-                       interior=G, u0=lambda x: np.zeros_like(x))
-    traj = run(P, TimeControl(t_end=0.1))
-    assert traj.status == "solver_failure"
-    assert "no solution" in traj.note
-    assert len(traj.times) == 1
 
 
 def test_positivity_preserved_for_nonnegative_data():
