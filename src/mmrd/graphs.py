@@ -7,7 +7,7 @@ each finite endpoint: ``(-inf, g(lo)]`` at the left endpoint and
 one of seven kinds: zero, linear, power, Dirichlet, the extensions of power
 and zero flux to ``[0, inf)``, and obstacle.  These cover every
 boundary/interior law in this package, and ``MonotoneGraph`` refuses any
-other.
+other, and params or a domain that do not fit its kind.
 
 The central operation is the resolvent ``r -> x`` solving
 ``x + lam * gamma(x) ∋ r``, also for weighted sums of several graphs
@@ -63,14 +63,45 @@ BISECT_MAX_ITER = 200
 KINDS = ("zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle")
 
 
+def _kind_domain(kind: str, params: tuple[float, ...]) -> tuple[float, float]:
+    """The domain of a graph of this kind and params; raises
+    ConfigurationError when the kind is unknown or the params do not fit
+    it (one slope >= 0 for linear, alpha >= 0 and q > 1 for the power
+    kinds, one level > 0 for obstacle, none for the others)."""
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown graph kind {kind!r}")
+    if kind == "linear":
+        if len(params) != 1 or not params[0] >= 0:
+            raise ConfigurationError(f"linear graph needs params (slope,) with slope >= 0, got {params}")
+        return -math.inf, math.inf
+    if kind in ("power", "extended_power"):
+        if len(params) != 2:
+            raise ConfigurationError(f"power graph needs params (alpha, q), got {params}")
+        alpha, q = params
+        if not q > 1:
+            raise ConfigurationError(f"power graph needs exponent q > 1, got {q}")
+        if not alpha >= 0:
+            raise ConfigurationError(f"power graph needs alpha >= 0, got {alpha}")
+        return (-math.inf if kind == "power" else 0.0), math.inf
+    if kind == "obstacle":
+        if len(params) != 1 or not params[0] > 0:
+            raise ConfigurationError(f"obstacle graph needs params (level,) with level > 0, got {params}")
+        return -params[0], params[0]
+    if params:
+        raise ConfigurationError(f"graph kind {kind!r} takes no params, got {params}")
+    return {"zero": (-math.inf, math.inf), "dirichlet": (0.0, 0.0),
+            "extended_neumann": (0.0, math.inf)}[kind]
+
+
 @dataclass(frozen=True)
 class MonotoneGraph:
     """A maximal monotone graph on R x R (see module docstring).
 
     ``selection`` must be vectorized (ndarray in, ndarray out), nondecreasing
     on the closed domain, and evaluable at finite endpoints where it returns
-    the one-sided limit.  ``kind`` is one of ``KINDS``, and each finite
-    endpoint carries its vertical segment.
+    the one-sided limit.  ``kind`` is one of ``KINDS``, ``params`` fit the
+    kind, the domain is the kind's, and each finite endpoint carries its
+    vertical segment.
     """
 
     domain_lo: float
@@ -82,10 +113,11 @@ class MonotoneGraph:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown graph kind {self.kind!r}")
-        if not self.domain_lo <= self.domain_hi:
-            raise ConfigurationError(f"empty graph domain [{self.domain_lo}, {self.domain_hi}]")
+        domain = _kind_domain(self.kind, self.params)
+        if (self.domain_lo, self.domain_hi) != domain:
+            raise ConfigurationError(
+                f"graph kind {self.kind!r} with params {self.params} has domain {domain}, "
+                f"got [{self.domain_lo}, {self.domain_hi}]")
         for side, end, seg in (("left", self.domain_lo, self.seg_lo),
                                ("right", self.domain_hi, self.seg_hi)):
             if seg != math.isfinite(end):
@@ -127,14 +159,11 @@ def zero_graph() -> MonotoneGraph:
 
 
 def linear_graph(slope: float = 1.0) -> MonotoneGraph:
-    if slope < 0:
-        raise ConfigurationError(f"linear graph needs slope >= 0, got {slope}")
     return MonotoneGraph(-math.inf, math.inf, lambda r: slope * r, False, False, "linear", (slope,))
 
 
 def power_graph(alpha: float, q: float) -> MonotoneGraph:
     """g(r) = alpha * sign(r) * |r|^(q-1) on all of R."""
-    _check_power_params(alpha, q)
     return MonotoneGraph(
         -math.inf,
         math.inf,
@@ -153,7 +182,6 @@ def dirichlet_graph() -> MonotoneGraph:
 
 def extended_power_graph(alpha: float, q: float) -> MonotoneGraph:
     """Power-law flux restricted to [0, inf) with value set (-inf, 0] at 0."""
-    _check_power_params(alpha, q)
     return MonotoneGraph(
         0.0,
         math.inf,
@@ -172,16 +200,7 @@ def extended_neumann_graph() -> MonotoneGraph:
 
 def obstacle_graph(level: float) -> MonotoneGraph:
     """Subdifferential of the indicator of [-level, level]."""
-    if level <= 0:
-        raise ConfigurationError(f"obstacle graph needs level > 0, got {level}")
     return MonotoneGraph(-level, level, lambda r: np.zeros_like(r), True, True, "obstacle", (level,))
-
-
-def _check_power_params(alpha: float, q: float) -> None:
-    if q <= 1:
-        raise ConfigurationError(f"power graph needs exponent q > 1, got {q}")
-    if alpha < 0:
-        raise ConfigurationError(f"power graph needs alpha >= 0, got {alpha}")
 
 
 def make_graph(spec: GraphSpec) -> MonotoneGraph:

@@ -23,16 +23,22 @@ components where they agree.  Per dt it only rescales them, and dt is
 unchanged on most steps.  Diffusion is linear, so the Newton matrix
 I - diag(R') N / c changes only where the resolvent slope R' moves (the
 boundary rows, for a zero interior graph), and little between steps of
-equal dt.  The workspace therefore also keeps the matrix's banded LU
-across iterations and steps and uses it for chord steps, refactoring when
+equal dt.  The workspace therefore also keeps the matrix's factors
+across iterations and steps and uses them for chord steps, refactoring when
 dt changes or a chord step converges slowly or not at all (Kelley 2003,
 the chord and Shamanskii methods).  The matrix has unit diagonal and
 off-diagonal row sums R' (c - 1) / c < 1, so it is strictly row diagonally
-dominant and its LU needs no pivoting (Higham 2002, ch. 9).  The ghost-node
-stencil weighs nothing across the last node row of each axis, so stacking
-the components keeps the bandwidth of one block, and the bandwidth picks
-the back end: at bandwidth 1 (every 1D mesh) a tridiagonal elimination in
-plain Python, above it LAPACK's dgbtrf/dgbtrs, whose scipy module is
+dominant and its elimination needs no pivoting (Higham 2002, ch. 9).  The
+ghost-node stencil weighs nothing across the last node row of each axis,
+so stacking the components keeps the bandwidth of one block, and the
+bandwidth picks the back end.  At bandwidth 1 (every 1D mesh) it is a
+tridiagonal elimination in plain Python.  Above it, the matrix is the
+discrete comparison operator, and N is self-adjoint in the trapezoid
+inner product: N = W^-1 K with W the node weights and K symmetric.  So
+scaling rows by W and columns by diag(R') gives a symmetric positive
+definite matrix (``_band_factor``), which LAPACK's banded Cholesky
+dpbtrf/dpbtrs factors in a band of bw + 1 rows, without pivots (Golub &
+Van Loan, Matrix Computations, 4th ed., 4.3).  Its scipy module is
 imported only when such a matrix is first factored, so that 1D runs never
 load scipy.
 
@@ -212,14 +218,22 @@ def _lapack():
     return lapack
 
 
-def dgbtrf(*args, **kwargs):
-    """LAPACK dgbtrf; scipy is imported at the first call."""
-    return _lapack().dgbtrf(*args, **kwargs)
+def dpbtrf(*args, **kwargs):
+    """LAPACK dpbtrf; scipy is imported at the first call."""
+    return _lapack().dpbtrf(*args, **kwargs)
 
 
-def dgbtrs(*args, **kwargs):
-    """LAPACK dgbtrs; scipy is imported at the first call."""
-    return _lapack().dgbtrs(*args, **kwargs)
+def dpbtrs(*args, **kwargs):
+    """LAPACK dpbtrs; scipy is imported at the first call."""
+    return _lapack().dpbtrs(*args, **kwargs)
+
+
+def _add_neighbours(q: np.ndarray, v: np.ndarray, coupling) -> None:
+    """Add N v to q in place, both (m, n), with N the neighbour weights
+    ``coupling`` ((stride, up, down) per axis)."""
+    for s, up, down in coupling:
+        q[:, :-s] += up[:, :-s] * v[:, s:]
+        q[:, s:] += down[:, s:] * v[:, :-s]
 
 
 def _tridiag_factor(sub: np.ndarray, sup: np.ndarray):
@@ -256,6 +270,58 @@ def _tridiag_solve(factors, b: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
+def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling, c: np.ndarray):
+    """Factor the Newton matrix A = I - diag(slope) N / c of the stacked
+    components, slope and the (stride, up, down) weights of N on (m, n)
+    arrays, c (m, 1), by banded Cholesky of an equivalent symmetric system
+    whose lower half is assembled in the buffer ``ab`` of bw + 1 rows.  (Not
+    the upper half: with OpenBLAS 0.3.31 on two cores, dpbtrf took 4x as
+    long on it when BLAS could use both threads, and no longer on the lower
+    half.)
+
+    With W the trapezoid node weights ``weight`` (relative to the
+    interior's), K = W N is symmetric.  Write D = diag(slope) and C for the
+    clipped nodes (D = 0), where A's row is e_p.  On the other nodes put
+    x = D z; then A x = b becomes M z = W b~ with M = W D - D K D / c and
+    b~ = b + D N b_C / c, b_C being b on C and 0 elsewhere.  M is symmetric,
+    and with y = D z, z'Mz = sum (W / D) y^2 - y'Ky / c >= y'(W - K/c)y > 0,
+    since W - K/c is strictly diagonally dominant.  The clipped nodes get
+    the rows and columns of the identity, z = x = b there.
+
+    Returns the factors for ``_band_solve``, or None when a pivot (a
+    diagonal entry of the Cholesky factor) is not finite and positive:
+    dpbtrf's info != 0, or a NaN or inf that it passed on, as a NaN slope
+    gives.
+    """
+    clipped = slope == 0.0
+    scale = np.where(clipped, 1.0, slope)  # x = scale * z
+    rows = np.where(clipped, 1.0, weight)  # M z = rows * b~
+    # lower band storage: entry (p + s, p) = (p, p + s) in row s, column p
+    ab[0] = (rows * scale).reshape(-1)
+    ab[1:] = 0.0
+    flat = slope.reshape(-1)
+    for s, up, _ in coupling:
+        ab[s, :-s] = (slope * weight * up / -c).reshape(-1)[:-s] * flat[s:]
+    chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0 or not np.isfinite(chol[0]).all():
+        return None
+    correction = (clipped, slope / c, coupling) if clipped.any() else None
+    return chol, scale.reshape(-1), rows.reshape(-1), correction
+
+
+def _band_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b with the factors of ``_band_factor``: form b~ (only
+    when some node is clipped), solve M z = W b~, and return x = D z
+    (z = b on the clipped nodes)."""
+    chol, scale, rows, correction = factors
+    if correction is not None:
+        clipped, gain, coupling = correction
+        q = np.zeros(gain.shape)
+        _add_neighbours(q, np.where(clipped, b.reshape(gain.shape), 0.0), coupling)
+        b = b + (gain * q).reshape(-1)
+    return scale * dpbtrs(chol, rows * b, lower=1, overwrite_b=1)[0]
+
+
 class _Workspace:
     """What the Newton solves of one problem reuse across iterations and
     time steps.
@@ -273,11 +339,14 @@ class _Workspace:
 
     ``lu`` holds the factors of the stacked Newton matrix, made for the
     diagonals ``key``; a ``key`` of None means they must be remade before
-    the next solve.  ``ab`` is the dgbtrf band buffer when the bandwidth is
-    above 1 (a 2D mesh), None in 1D.
+    the next solve.  When the bandwidth is above 1 (a 2D mesh), ``ab`` is
+    the band buffer of ``_band_factor``, bw + 1 rows for the lower half of
+    the symmetric system, and ``weight`` the trapezoid weights of one
+    component's nodes relative to the interior's (1/2 per axis on a
+    boundary row); both are None in 1D.
     """
 
-    __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "lu", "key",
+    __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "weight", "lu", "key",
                  "dt", "c", "cs", "coupling", "groups")
 
     def __init__(self, P: ProblemSpec):
@@ -294,8 +363,10 @@ class _Workspace:
                     plans.setdefault(group, (k, plan, []))[2].append(k * self.n + idx)
         self.plans = [(k, plan, np.sort(np.concatenate(idx))) for k, plan, idx in plans.values()]
         self.bw = max(stride for stride, _, _ in self.axes)
-        # dgbtrf layout: bw rows of LU fill-in on top
-        self.ab = np.empty((3 * self.bw + 1, self.m * self.n), order="F") if self.bw > 1 else None
+        self.ab = self.weight = None
+        if self.bw > 1:
+            self.ab = np.empty((self.bw + 1, self.m * self.n), order="F")
+            self.weight = P.mesh.quad_weights.ravel() / math.prod(P.mesh.spacing)
         self.lu = self.key = self.dt = None
 
     def rescale(self, dt: float) -> None:
@@ -321,32 +392,32 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     row diagonally dominant M-matrix per component.  The ghost-node stencil
     weighs nothing across the last node row of each axis, so the stacked
     matrix has the bandwidth of one block: 1 on a 1D mesh, where
-    ``_tridiag_factor``/``_tridiag_solve`` serve it, and the inner node
-    count on a 2D mesh, where LAPACK's banded LU does.
+    ``_tridiag_factor``/``_tridiag_solve`` serve it, and the node count of
+    the last axis on a 2D mesh, where ``_band_factor``/``_band_solve``
+    serve it by the banded Cholesky of its symmetric positive definite form
+    diag(W) A diag(R'), clipped nodes (R' = 0) taken out.
 
     Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
     the solve stops when every component has, or at a NaN residual (the
-    driver classifies the non-finite state).  A component that has converged may take
-    further steps while another finishes.  The LU in ``ws`` is reused while
-    it serves (a chord step), judged by the largest block residual: it is
-    remade when there is none, when some c changed (a new dt), after a chord
-    step that lowered max|Phi| by less than the factor ``CHORD_RATE``, and at
-    once when a chord step did not lower max|Phi|.  A pivot that is not
-    finite and positive (dgbtrf's info != 0) leaves no factors, and so does
-    a step with fresh factors that does not lower max|Phi|: either is
-    replaced by the fixed-point step u <- R(q), a max-norm contraction.
+    driver classifies the non-finite state).  A component that has converged
+    may take further steps while another finishes.  The factors in ``ws``
+    are reused while they serve (a chord step), judged by the largest block
+    residual: they are remade when there are none, when some c changed (a
+    new dt), after a chord step that lowered max|Phi| by less than the
+    factor ``CHORD_RATE``, and at once when a chord step did not lower
+    max|Phi|.  A pivot that is not finite and positive (in 2D, dpbtrf's
+    info != 0 or a non-finite pivot) leaves no factors, and so does a step
+    with fresh factors that does not lower max|Phi|: either is replaced by
+    the fixed-point step u <- R(q), a max-norm contraction.
     Returns R itself, so every node lies in its graph domains exactly.
     """
     m, n = ws.m, ws.n
-    bw, ab, c, cs = ws.bw, ws.ab, ws.c, ws.cs
+    ab, c, cs = ws.ab, ws.c, ws.cs
     coupling, groups = ws.coupling, ws.groups
 
     def resolve(v):
-        v2 = v.reshape(m, n)
         q = rhs.copy()
-        for s, up, down in coupling:
-            q[:, :-s] += up[:, :-s] * v2[:, s:]
-            q[:, s:] += down[:, s:] * v2[:, :-s]
+        _add_neighbours(q, v.reshape(m, n), coupling)
         q /= c
         x = q.reshape(-1)
         for idx, R in groups:
@@ -362,27 +433,17 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         for idx, R in groups:
             slope[idx] = resolvent_slope(x[idx], R)
         slope = slope.reshape(m, n)
-        # the entries of row p, flattened: up[p] weighs node p + s, down[p] node p - s
-        offdiag = [(s, (slope * up / -c).reshape(-1), (slope * down / -c).reshape(-1))
-                   for s, up, down in coupling]
         if ab is None:
-            ((_, sup, sub),) = offdiag
+            # row p, flattened: up[p] weighs node p + 1, down[p] node p - 1
+            ((_, up, down),) = coupling
+            sup, sub = (slope * up / -c).reshape(-1), (slope * down / -c).reshape(-1)
             ws.lu = _tridiag_factor(sub[1:], sup[:-1])
         else:
-            ab[bw:] = 0.0
-            ab[2 * bw] = 1.0
-            for s, sup, sub in offdiag:
-                ab[2 * bw - s, s:] = sup[:-s]
-                ab[2 * bw + s, :-s] = sub[s:]
-            _, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
-            ws.lu = (ab, piv) if info == 0 else None
+            ws.lu = _band_factor(ab, ws.weight, slope, coupling, c)
         ws.key = cs if ws.lu is not None else None
 
     def solve(b):
-        if ab is None:
-            return _tridiag_solve(ws.lu, b)
-        lu_ab, piv = ws.lu
-        return dgbtrs(lu_ab, bw, bw, b, piv, overwrite_b=1)[0]
+        return _tridiag_solve(ws.lu, b) if ab is None else _band_solve(ws.lu, b)
 
     x, res_k = resolve(u)
     res = float(res_k.max())

@@ -103,6 +103,44 @@ def test_graph_of_unknown_kind_or_without_endpoint_segment_rejected(args):
         MonotoneGraph(*args)
 
 
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # params that do not fit the kind
+        (-INF, INF, lambda r: 5 * r, False, False, "linear"),
+        (-INF, INF, lambda r: -r, False, False, "linear", (-1.0,)),
+        (-INF, INF, np.sign, False, False, "power", (1.0, 0.5)),
+        (-INF, INF, np.sign, False, False, "power", (1.0,)),
+        (0.0, INF, np.zeros_like, True, False, "extended_power", (-1.0, 2.0)),
+        (0.0, INF, np.zeros_like, True, False, "extended_power", (1.0, 2.0, 3.0)),
+        (0.0, 0.0, np.zeros_like, True, True, "obstacle", (0.0,)),
+        (-1.0, 1.0, np.zeros_like, True, True, "obstacle"),
+        (-INF, INF, np.zeros_like, False, False, "zero", (1.0,)),
+        (0.0, 0.0, np.zeros_like, True, True, "dirichlet", (1.0,)),
+        # a domain that does not match the kind
+        (0.0, INF, np.zeros_like, True, False, "zero"),
+        (0.0, INF, np.zeros_like, True, False, "linear", (1.0,)),
+        (-INF, INF, np.zeros_like, False, False, "extended_power", (1.0, 2.0)),
+        (0.0, 1.0, np.zeros_like, True, True, "dirichlet"),
+        (1.0, INF, np.zeros_like, True, False, "extended_neumann"),
+        (-2.0, 2.0, np.zeros_like, True, True, "obstacle", (1.0,)),
+    ],
+)
+def test_graph_whose_params_or_domain_do_not_fit_its_kind_rejected(args):
+    """The resolvent trusts kind and params, so a graph whose params or
+    domain disagree with its kind is refused when built (linear without
+    params made resolve_terms raise IndexError, and a power graph with
+    q = 0.5 resolved silently)."""
+    with pytest.raises(ConfigurationError):
+        MonotoneGraph(*args)
+    built = [zero_graph(), linear_graph(0.0), power_graph(0.0, 1.5), dirichlet_graph(),
+             extended_power_graph(2.0, 3.0), extended_neumann_graph(), obstacle_graph(0.25)]
+    assert [G.kind for G in built] == list(graphs.KINDS)  # the seven factories still build
+
+
 # ---------------------------------------------------------------------------
 # set-valued evaluation
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mmrd.graphs
 import mmrd.stepper
 from mmrd.errors import SolverFailure
 from mmrd.graphs import (
@@ -371,8 +372,8 @@ def count_calls(monkeypatch, name, log):
 
 def test_constant_dt_run_keeps_its_factorization(monkeypatch):
     """At constant dt the Newton matrix changes little from step to step, so
-    the run refactors at most once per two steps, and every accepted state
-    still solves its step's nodal inclusions."""
+    the run factors it at least once and at most once per two steps, and
+    every accepted state still solves its step's nodal inclusions."""
     steps = []
 
     def recording_step(P, S, dt, **kw):
@@ -381,12 +382,12 @@ def test_constant_dt_run_keeps_its_factorization(monkeypatch):
         return U
 
     calls = []
-    count_calls(monkeypatch, "dgbtrf", calls)
+    count_calls(monkeypatch, "dpbtrf", calls)
     monkeypatch.setattr(mmrd.stepper, "step", recording_step)
     P = plate_problem()
     traj = run(P, TimeControl(t_end=0.012))
     assert traj.status == "completed" and len(steps) == len(traj.times) - 1 == 12
-    assert len(calls) <= len(steps) // 2
+    assert 0 < len(calls) <= len(steps) // 2
     for S, dt, U in steps:
         assert oracle_step_residual(P, S, dt, U) <= 1e-9
 
@@ -417,8 +418,8 @@ def test_halving_after_solver_failure_refactors(monkeypatch):
     """A halved dt changes the diagonal c, so the retried step factors the
     Newton matrix afresh before its first solve."""
     lapack = []
-    count_calls(monkeypatch, "dgbtrf", lapack)
-    count_calls(monkeypatch, "dgbtrs", lapack)
+    count_calls(monkeypatch, "dpbtrf", lapack)
+    count_calls(monkeypatch, "dpbtrs", lapack)
     calls = []  # (dt, LAPACK calls made) per step call
 
     def failing_step(P, S, dt, **kw):
@@ -435,8 +436,8 @@ def test_halving_after_solver_failure_refactors(monkeypatch):
     assert traj.status == "completed"
     (dt_first, _), (dt_kept, kept), (dt_failed, _), (dt_retry, retry) = calls[:4]
     assert dt_first == dt_kept == dt_failed and dt_retry == 0.5 * dt_failed
-    assert kept[0] == "dgbtrs"  # the second step starts from the first one's factors
-    assert retry[0] == "dgbtrf"
+    assert kept[0] == "dpbtrs"  # the second step starts from the first one's factors
+    assert retry[0] == "dpbtrf"
 
 
 def rod_problem(n=51):
@@ -528,10 +529,126 @@ def test_tridiagonal_factor_and_solve_match_dense_solve(n, log_mu, data):
 
 def test_non_positive_pivot_leaves_no_tridiagonal_factors():
     """A pivot that is not finite and positive (here from a NaN slope, as a
-    non-finite iterate gives) plays the role of dgbtrf's info != 0."""
+    non-finite iterate gives) plays the role of dpbtrf's info != 0."""
     off = np.full(4, -0.5 / 3.0)
     assert mmrd.stepper._tridiag_factor(np.array([-0.5, np.nan, -0.5, -0.5]) / 3.0, off) is None
     assert mmrd.stepper._tridiag_factor(off, off) is not None
+
+
+def clipped_plate_workspace(dt=0.05):
+    """Workspace and Newton-matrix slopes of a two-component step on a 7 x 5
+    mesh: component 0 is Dirichlet on the boundary (clipped rows there),
+    component 1 has a binding obstacle inside and a power law on the
+    boundary, at a state where about a third of its nodes sit on the
+    obstacle's endpoints (clipped) and the rest strictly inside."""
+    mesh = build_mesh(2, [1.0, 0.8], [7, 5])
+    P = ProblemSpec(mesh, (1.0, 0.5), zero_reaction(2), (zero_graph(), obstacle_graph(1.0)),
+                    (dirichlet_graph(), extended_power_graph(1.0, 2.5)),
+                    np.zeros((2,) + mesh.shape))
+    ws = mmrd.stepper._Workspace(P)
+    ws.rescale(dt)
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(0.5, 2.0, ws.n),
+                        np.clip(rng.uniform(-0.25, 1.5, ws.n), 0.0, 1.0)])
+    slope = np.ones(ws.m * ws.n)
+    for idx, R in ws.groups:
+        slope[idx] = mmrd.graphs.resolvent_slope(x[idx], R)
+    slope = slope.reshape(ws.m, ws.n)
+    bmask = mesh.boundary_mask.ravel()
+    assert (slope[0][bmask] == 0.0).all() and (slope[0][~bmask] == 1.0).all()
+    assert (slope[1][~bmask] == 0.0).any() and (slope[1][~bmask] == 1.0).any()
+    assert (slope[1][bmask] == 0.0).any() and ((slope[1] > 0.0) & (slope[1] < 1.0)).any()
+    return P, ws, slope
+
+
+def dense_newton_matrix(P, dt, slope):
+    """I - diag(slope) N / c of the stacked components, N built node by node
+    from the ghost-node stencil: mu = a dt / h^2 per neighbour, 2 mu from a
+    boundary node to its inner neighbour."""
+    (nx, ny), n = P.mesh.shape, slope.shape[1]
+    blocks = []
+    for k, a in enumerate(P.diffusion):
+        mus = [a * dt / h**2 for h in P.mesh.spacing]
+        c = 1.0 + 2.0 * sum(mus)
+        N = np.zeros((n, n))
+        for i in range(nx):
+            for j in range(ny):
+                p = i * ny + j
+                for pos, count, mu, stride in ((i, nx, mus[0], ny), (j, ny, mus[1], 1)):
+                    if pos + 1 < count:
+                        N[p, p + stride] += mu * (2.0 if pos == 0 else 1.0)
+                    if pos > 0:
+                        N[p, p - stride] += mu * (2.0 if pos == count - 1 else 1.0)
+        blocks.append(np.eye(n) - slope[k][:, None] * N / c)
+    A = np.zeros((len(blocks) * n,) * 2)
+    for k, block in enumerate(blocks):
+        A[k * n:(k + 1) * n, k * n:(k + 1) * n] = block
+    return A
+
+
+def test_band_factor_and_solve_match_dense_solve():
+    """The banded Cholesky of the symmetrized system solves the unsymmetric
+    Newton matrix I - diag(R') N / c, clipped rows included, as
+    numpy.linalg.solve does."""
+    dt = 0.05
+    P, ws, slope = clipped_plate_workspace(dt)
+    A = dense_newton_matrix(P, dt, slope)
+    factors = mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c)
+    assert factors is not None
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        b = rng.standard_normal(ws.m * ws.n)
+        expect = np.linalg.solve(A, b)
+        got = mmrd.stepper._band_solve(factors, b.copy())
+        assert float(np.abs(got - expect).max()) <= 1e-12 * float(np.abs(expect).max())
+
+
+def test_assembled_band_is_lower_half_of_symmetrized_newton_matrix(monkeypatch):
+    """The band handed to dpbtrf holds the lower half of W A E with the
+    off-diagonal entries of the clipped columns dropped (they move to the
+    right-hand side), where W is the trapezoid weights relative to the
+    interior's (1 on clipped rows) and E = diag(R') (1 on clipped nodes);
+    that matrix is symmetric."""
+    dt = 0.05
+    P, ws, slope = clipped_plate_workspace(dt)
+    A = dense_newton_matrix(P, dt, slope)
+    bands = []
+    original = mmrd.stepper.dpbtrf
+
+    def recording(ab, **kw):
+        bands.append(ab.copy())
+        return original(ab, **kw)
+
+    monkeypatch.setattr(mmrd.stepper, "dpbtrf", recording)
+    assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is not None
+    (band,) = bands
+    bw = band.shape[0] - 1
+    assert bw == P.mesh.shape[1]
+    size = band.shape[1]
+    lower = np.zeros((size, size))
+    for d in range(bw + 1):
+        lower[np.arange(d, size), np.arange(size - d)] = band[d, :size - d]
+
+    d = slope.ravel()
+    clipped = d == 0.0
+    w_axes = [np.ones(k) for k in P.mesh.shape]
+    for w in w_axes:
+        w[0] = w[-1] = 0.5
+    w = np.tile(np.multiply.outer(*w_axes).ravel(), ws.m)
+    expect = np.where(clipped, 1.0, w)[:, None] * A * np.where(clipped, 1.0, d)[None, :]
+    off = ~np.eye(size, dtype=bool)
+    expect[off & clipped[None, :]] = 0.0
+    np.testing.assert_allclose(expect, expect.T, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(lower, np.tril(expect), rtol=1e-14, atol=0.0)
+
+
+def test_nan_slope_leaves_no_band_factors():
+    """A NaN slope (as a non-finite iterate gives) makes dpbtrf's info != 0,
+    which leaves no factors, as in 1D."""
+    _, ws, slope = clipped_plate_workspace()
+    assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is not None
+    slope[1, 17] = np.nan
+    assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is None
 
 
 def test_1d_runs_import_no_scipy_and_2d_steps_do():
