@@ -19,7 +19,6 @@ from .compare import (
 from .errors import ConfigurationError, SolverFailure
 from .graphs import (
     DominationVerdict,
-    GraphSpec,
     MonotoneGraph,
     dirichlet_graph,
     dominates,
@@ -27,7 +26,6 @@ from .graphs import (
     extended_neumann_graph,
     extended_power_graph,
     linear_graph,
-    make_graph,
     obstacle_graph,
     power_graph,
     resolvent,

@@ -1,13 +1,17 @@
 """Scalar maximal monotone graphs.
 
-A graph is represented by a closed domain interval, a single-valued
-nondecreasing selection ``g`` on that interval, and a vertical segment at
-each finite endpoint: ``(-inf, g(lo)]`` at the left endpoint and
-``[g(hi), +inf)`` at the right one, so the graph is maximal.  A graph is
-one of seven kinds: zero, linear, power, Dirichlet, the extensions of power
-and zero flux to ``[0, inf)``, and obstacle.  These cover every
+A graph is its (kind, params): ``MonotoneGraph(kind, params)`` stores
+nothing else, and two graphs are equal exactly when their kinds and params
+are.  Everything else comes from one table, ``KINDS``, with a row per kind:
+its params by JSON name (with the default a scenario file may leave out),
+its domain, a closed interval, and its selection ``g``, single-valued and
+nondecreasing there.  Each finite endpoint of the domain carries a
+vertical segment, ``(-inf, g(lo)]`` at the left one and ``[g(hi), +inf)``
+at the right one, so the graph is maximal.  The seven kinds are zero,
+linear (slope), power (alpha, q), Dirichlet, the extensions of power and
+zero flux to ``[0, inf)``, and obstacle (level); they cover every
 boundary/interior law in this package, and ``MonotoneGraph`` refuses any
-other, and params or a domain that do not fit its kind.
+other kind, and params that do not fit the kind.
 
 The central operation is the resolvent ``r -> x`` solving
 ``x + lam * gamma(x) ∋ r``, also for weighted sums of several graphs
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,9 +43,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "MonotoneGraph",
-    "GraphSpec",
     "DominationVerdict",
-    "make_graph",
     "zero_graph",
     "linear_graph",
     "power_graph",
@@ -60,167 +62,125 @@ __all__ = [
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
 
-KINDS = ("zero", "linear", "power", "dirichlet", "extended_power", "extended_neumann", "obstacle")
+# the values each param admits, by JSON name
+_RULES = {
+    "slope": (lambda v: v >= 0, "slope >= 0"),
+    "alpha": (lambda v: v >= 0, "alpha >= 0"),
+    "q": (lambda v: v > 1, "q > 1"),
+    "level": (lambda v: 0 < v < math.inf, "0 < level < inf"),
+}
 
 
-def _kind_domain(kind: str, params: tuple[float, ...]) -> tuple[float, float]:
-    """The domain of a graph of this kind and params; raises
-    ConfigurationError when the kind is unknown or the params do not fit
-    it (one slope >= 0 for linear, alpha >= 0 and q > 1 for the power
-    kinds, one level > 0 for obstacle, none for the others)."""
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown graph kind {kind!r}")
-    if kind == "linear":
-        if len(params) != 1 or not params[0] >= 0:
-            raise ConfigurationError(f"linear graph needs params (slope,) with slope >= 0, got {params}")
-        return -math.inf, math.inf
-    if kind in ("power", "extended_power"):
-        if len(params) != 2:
-            raise ConfigurationError(f"power graph needs params (alpha, q), got {params}")
-        alpha, q = params
-        if not q > 1:
-            raise ConfigurationError(f"power graph needs exponent q > 1, got {q}")
-        if not alpha >= 0:
-            raise ConfigurationError(f"power graph needs alpha >= 0, got {alpha}")
-        return (-math.inf if kind == "power" else 0.0), math.inf
-    if kind == "obstacle":
-        if len(params) != 1 or not params[0] > 0:
-            raise ConfigurationError(f"obstacle graph needs params (level,) with level > 0, got {params}")
-        return -params[0], params[0]
-    if params:
-        raise ConfigurationError(f"graph kind {kind!r} takes no params, got {params}")
-    return {"zero": (-math.inf, math.inf), "dirichlet": (0.0, 0.0),
-            "extended_neumann": (0.0, math.inf)}[kind]
+class _Kind(NamedTuple):
+    params: dict[str, float]  # JSON name -> JSON default, in the order of MonotoneGraph.params
+    domain: Callable[[tuple], tuple[float, float]]
+    g: Callable[[np.ndarray, tuple], np.ndarray]
+
+
+def _zero(r, p):
+    return np.zeros_like(r)
+
+
+def _line(p):
+    return -math.inf, math.inf
+
+
+def _half_line(p):
+    return 0.0, math.inf
+
+
+_POWER = {"alpha": 1.0, "q": 2.0}
+
+KINDS = {
+    "zero": _Kind({}, _line, _zero),
+    "linear": _Kind({"slope": 1.0}, _line, lambda r, p: p[0] * r),
+    "power": _Kind(_POWER, _line, lambda r, p: p[0] * np.sign(r) * np.abs(r) ** (p[1] - 1.0)),
+    "dirichlet": _Kind({}, lambda p: (0.0, 0.0), _zero),
+    "extended_power": _Kind(_POWER, _half_line,
+                            lambda r, p: p[0] * np.maximum(r, 0.0) ** (p[1] - 1.0)),
+    "extended_neumann": _Kind({}, _half_line, _zero),
+    "obstacle": _Kind({"level": 1.0}, lambda p: (-p[0], p[0]), _zero),
+}
 
 
 @dataclass(frozen=True)
 class MonotoneGraph:
-    """A maximal monotone graph on R x R (see module docstring).
+    """A maximal monotone graph on R x R, given whole by its kind, one of
+    ``KINDS``, and params that fit the kind (see module docstring).
 
-    ``selection`` must be vectorized (ndarray in, ndarray out), nondecreasing
-    on the closed domain, and evaluable at finite endpoints where it returns
-    the one-sided limit.  ``kind`` is one of ``KINDS``, ``params`` fit the
-    kind, the domain is the kind's, and each finite endpoint carries its
-    vertical segment.
+    Params are stored as floats, so ``power_graph(1, 3) ==
+    power_graph(1.0, 3.0)``.  Each error names the field or param at fault
+    first, as ``"q: ..."``, so a scenario parser can prefix its JSON path.
     """
 
-    domain_lo: float
-    domain_hi: float
-    selection: Callable[[np.ndarray], np.ndarray]
-    seg_lo: bool
-    seg_hi: bool
     kind: str
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        domain = _kind_domain(self.kind, self.params)
-        if (self.domain_lo, self.domain_hi) != domain:
+        if self.kind not in KINDS:
+            raise ConfigurationError(f"kind: unknown graph kind {self.kind!r}")
+        names = KINDS[self.kind].params
+        if len(self.params) != len(names):
             raise ConfigurationError(
-                f"graph kind {self.kind!r} with params {self.params} has domain {domain}, "
-                f"got [{self.domain_lo}, {self.domain_hi}]")
-        for side, end, seg in (("left", self.domain_lo, self.seg_lo),
-                               ("right", self.domain_hi, self.seg_hi)):
-            if seg != math.isfinite(end):
-                raise ConfigurationError(
-                    f"the {side} domain endpoint {end} needs a vertical segment exactly when finite")
+                f"params: {self.kind} graph needs params ({', '.join(names)}), got {self.params}")
+        params = tuple(float(v) for v in self.params)
+        for name, v in reversed(tuple(zip(names, params))):  # q before alpha
+            ok, rule = _RULES[name]
+            if not ok(v):
+                raise ConfigurationError(f"{name}: {self.kind} graph needs {rule}, got {v}")
+        object.__setattr__(self, "params", params)
+
+    @property
+    def domain_lo(self) -> float:
+        return KINDS[self.kind].domain(self.params)[0]
+
+    @property
+    def domain_hi(self) -> float:
+        return KINDS[self.kind].domain(self.params)[1]
 
     def contains(self, r: float) -> bool:
         return self.domain_lo <= r <= self.domain_hi
 
     def g(self, r):
         """Selection value(s); accepts scalars or arrays."""
-        return self.selection(np.asarray(r, dtype=float))
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Serializable constructor recipe for a MonotoneGraph."""
-
-    kind: str
-    alpha: float = 1.0
-    q: float = 2.0
-    level: float = 1.0
-    slope: float = 1.0
+        return KINDS[self.kind].g(np.asarray(r, dtype=float), self.params)
 
     def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind in ("power", "extended_power"):
-            d["alpha"] = self.alpha
-            d["q"] = self.q
-        elif self.kind == "obstacle":
-            d["level"] = self.level
-        elif self.kind == "linear":
-            d["slope"] = self.slope
-        return d
+        """The graph as a scenario file writes it: kind and params by JSON name."""
+        return {"kind": self.kind, **dict(zip(KINDS[self.kind].params, self.params))}
 
 
 def zero_graph() -> MonotoneGraph:
-    return MonotoneGraph(-math.inf, math.inf, lambda r: np.zeros_like(r), False, False, "zero")
+    return MonotoneGraph("zero")
 
 
 def linear_graph(slope: float = 1.0) -> MonotoneGraph:
-    return MonotoneGraph(-math.inf, math.inf, lambda r: slope * r, False, False, "linear", (slope,))
+    return MonotoneGraph("linear", (slope,))
 
 
 def power_graph(alpha: float, q: float) -> MonotoneGraph:
     """g(r) = alpha * sign(r) * |r|^(q-1) on all of R."""
-    return MonotoneGraph(
-        -math.inf,
-        math.inf,
-        lambda r: alpha * np.sign(r) * np.abs(r) ** (q - 1.0),
-        False,
-        False,
-        "power",
-        (alpha, q),
-    )
+    return MonotoneGraph("power", (alpha, q))
 
 
 def dirichlet_graph() -> MonotoneGraph:
     """Domain {0}, value set R at 0: the homogeneous Dirichlet boundary law."""
-    return MonotoneGraph(0.0, 0.0, lambda r: np.zeros_like(r), True, True, "dirichlet")
+    return MonotoneGraph("dirichlet")
 
 
 def extended_power_graph(alpha: float, q: float) -> MonotoneGraph:
     """Power-law flux restricted to [0, inf) with value set (-inf, 0] at 0."""
-    return MonotoneGraph(
-        0.0,
-        math.inf,
-        lambda r: alpha * np.maximum(r, 0.0) ** (q - 1.0),
-        True,
-        False,
-        "extended_power",
-        (alpha, q),
-    )
+    return MonotoneGraph("extended_power", (alpha, q))
 
 
 def extended_neumann_graph() -> MonotoneGraph:
     """Zero flux on (0, inf) with value set (-inf, 0] at 0."""
-    return MonotoneGraph(0.0, math.inf, lambda r: np.zeros_like(r), True, False, "extended_neumann")
+    return MonotoneGraph("extended_neumann")
 
 
 def obstacle_graph(level: float) -> MonotoneGraph:
     """Subdifferential of the indicator of [-level, level]."""
-    return MonotoneGraph(-level, level, lambda r: np.zeros_like(r), True, True, "obstacle", (level,))
-
-
-def make_graph(spec: GraphSpec) -> MonotoneGraph:
-    """Build the graph described by ``spec``; raises ConfigurationError on bad parameters."""
-    kind = spec.kind
-    if kind == "zero":
-        return zero_graph()
-    if kind == "linear":
-        return linear_graph(spec.slope)
-    if kind == "power":
-        return power_graph(spec.alpha, spec.q)
-    if kind == "dirichlet":
-        return dirichlet_graph()
-    if kind == "extended_power":
-        return extended_power_graph(spec.alpha, spec.q)
-    if kind == "extended_neumann":
-        return extended_neumann_graph()
-    if kind == "obstacle":
-        return obstacle_graph(spec.level)
-    raise ConfigurationError(f"unknown graph kind {kind!r}")
+    return MonotoneGraph("obstacle", (level,))
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +189,11 @@ def make_graph(spec: GraphSpec) -> MonotoneGraph:
 
 
 def _value_bounds(G: MonotoneGraph, r: float) -> tuple[float, float]:
-    """(inf, sup) of gamma(r) for r in the closed domain."""
+    """(inf, sup) of gamma(r) for r in the closed domain; a finite endpoint
+    carries its vertical segment."""
     g = float(G.g(r))
-    lo = -math.inf if (r == G.domain_lo and G.seg_lo) else g
-    hi = math.inf if (r == G.domain_hi and G.seg_hi) else g
+    lo = -math.inf if r == G.domain_lo > -math.inf else g
+    hi = math.inf if r == G.domain_hi < math.inf else g
     return lo, hi
 
 
@@ -491,7 +452,7 @@ def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[flo
         if lam == 0.0 or G.kind == "zero":
             continue
         for i, (lam0, G0) in enumerate(merged):
-            if G0 is G:
+            if G0 == G:
                 merged[i] = (lam0 + lam, G0)
                 break
         else:
@@ -564,21 +525,14 @@ def dominates(
 ) -> DominationVerdict:
     """Check whether the pair (G1, G2) satisfies one of the ordering modes.
 
-    (i)   the graphs are identical;
+    (i)   the graphs are equal (the same kind and params);
     (iii) sup D(G1) <= inf D(G2) (disjoint/touching domains, G1 below G2);
     (ii)  sup gamma2(r2) <= inf gamma1(r1) whenever r1 > r2 in the
           respective domains (checked on a sample grid).
     """
     span, count = 50.0, 201  # sampling window (-span, span) and points per graph
-    if "i" in modes:
-        same_structure = (
-            G1.kind == G2.kind
-            and G1.params == G2.params
-            and (G1.domain_lo, G1.domain_hi, G1.seg_lo, G1.seg_hi)
-            == (G2.domain_lo, G2.domain_hi, G2.seg_lo, G2.seg_hi)
-        )
-        if G1 is G2 or same_structure:
-            return DominationVerdict("holds", "i")
+    if "i" in modes and G1 == G2:
+        return DominationVerdict("holds", "i")
 
     if "iii" in modes and G1.domain_hi <= G2.domain_lo:
         return DominationVerdict("holds", "iii")

@@ -1,7 +1,7 @@
 """Scenario files: strict JSON schema, presets and problem builders.
 
 A scenario fully describes one run: domain block, one entry per component
-(diffusion coefficient, interior and boundary graph specs, initial data
+(diffusion coefficient, interior and boundary graphs, initial data
 spec), reaction block, time block, and an optional pair block for
 comparison runs.  Parsing is strict: unknown keys are rejected and every
 error message carries the JSON path of the offending field.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .graphs import GraphSpec, make_graph
+from .graphs import KINDS, MonotoneGraph
 from .mesh import Mesh, build_mesh
 from .reactions import Reaction, nuclear_reaction, power_reaction, zero_reaction
 from .spectral import principal_eigenpair
@@ -65,8 +65,8 @@ class InitialSpec:
 @dataclass(frozen=True)
 class ComponentSpec:
     diffusion: float
-    interior_graph: GraphSpec
-    boundary_graph: GraphSpec
+    interior_graph: MonotoneGraph
+    boundary_graph: MonotoneGraph
     initial: InitialSpec
 
     def to_dict(self) -> dict:
@@ -131,38 +131,18 @@ def _number(obj: dict, key: str, path: str, default=None) -> float:
     return float(v)
 
 
-def _parse_graph(obj: dict, path: str) -> GraphSpec:
-    param_keys = {
-        "zero": (),
-        "linear": ("slope",),
-        "power": ("alpha", "q"),
-        "dirichlet": (),
-        "extended_power": ("alpha", "q"),
-        "extended_neumann": (),
-        "obstacle": ("level",),
-    }
-    _check_keys(obj, path, ("kind",), tuple(k for ks in param_keys.values() for k in ks))
+def _parse_graph(obj: dict, path: str) -> MonotoneGraph:
+    _check_keys(obj, path, ("kind",), tuple(k for spec in KINDS.values() for k in spec.params))
     kind = obj["kind"]
-    if kind not in param_keys:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigurationError(f"{path}.kind: unknown graph kind {kind!r}")
-    _check_keys(obj, path, ("kind",), param_keys[kind])
-    spec = GraphSpec(
-        kind,
-        alpha=_number(obj, "alpha", path, 1.0),
-        q=_number(obj, "q", path, 2.0),
-        level=_number(obj, "level", path, 1.0),
-        slope=_number(obj, "slope", path, 1.0),
-    )
-    if kind in ("power", "extended_power"):
-        if spec.q <= 1:
-            raise ConfigurationError(f"{path}.q: exponent must be > 1, got {spec.q}")
-        if spec.alpha < 0:
-            raise ConfigurationError(f"{path}.alpha: must be >= 0, got {spec.alpha}")
-    if kind == "obstacle" and spec.level <= 0:
-        raise ConfigurationError(f"{path}.level: must be > 0, got {spec.level}")
-    if kind == "linear" and spec.slope < 0:
-        raise ConfigurationError(f"{path}.slope: must be >= 0, got {spec.slope}")
-    return spec
+    defaults = KINDS[kind].params
+    _check_keys(obj, path, ("kind",), tuple(defaults))
+    params = tuple(_number(obj, key, path, default) for key, default in defaults.items())
+    try:
+        return MonotoneGraph(kind, params)
+    except ConfigurationError as exc:  # its message starts with the param at fault
+        raise ConfigurationError(f"{path}.{exc}") from None
 
 
 def _parse_initial(obj: dict, path: str, dim: int) -> InitialSpec:
@@ -347,8 +327,8 @@ def build_problem(s: Scenario) -> tuple[ProblemSpec, TimeControl]:
         mesh,
         tuple(c.diffusion for c in s.components),
         s.reaction,
-        tuple(make_graph(c.interior_graph) for c in s.components),
-        tuple(make_graph(c.boundary_graph) for c in s.components),
+        tuple(c.interior_graph for c in s.components),
+        tuple(c.boundary_graph for c in s.components),
         initial,
     )
     return problem, s.time

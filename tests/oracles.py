@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's solution paths: the resolvent oracle
 is a plain scalar bisection (the library uses closed forms and Newton steps
-for the built-in kinds), so agreement is a genuine cross-check.
+for the built-in kinds), so agreement is a genuine cross-check.  They read
+only a graph's kind and params, and take its domain, selection and value
+set from their own closed form per kind, not from the library's table.
 """
 
 from __future__ import annotations
@@ -10,12 +12,33 @@ from __future__ import annotations
 import math
 
 
+def _oracle_domain(G):
+    """The closed domain of G."""
+    if G.kind == "dirichlet":
+        return 0.0, 0.0
+    if G.kind in ("extended_power", "extended_neumann"):
+        return 0.0, math.inf
+    if G.kind == "obstacle":
+        return -G.params[0], G.params[0]
+    return -math.inf, math.inf  # zero, linear, power
+
+
+def _oracle_g(G, x):
+    """The value of gamma at a point x inside G's domain (its only one)."""
+    if G.kind == "linear":
+        return G.params[0] * x
+    if G.kind in ("power", "extended_power"):  # x >= 0 on the extension's domain
+        alpha, q = G.params
+        return math.copysign(alpha * abs(x) ** (q - 1.0), x)
+    return 0.0  # zero, dirichlet, extended_neumann, obstacle
+
+
 def oracle_resolvent(G, lam, r, tol=1e-13, max_iter=400):
     """Scalar bisection on x + lam*g(x) = r with endpoint-segment capture."""
-    lo, hi = G.domain_lo, G.domain_hi
+    lo, hi = _oracle_domain(G)
 
     def h(x):
-        return x + lam * float(G.g(x))
+        return x + lam * _oracle_g(G, x)
 
     if math.isfinite(lo) and r <= h(lo):
         return lo
@@ -41,24 +64,24 @@ def oracle_resolvent(G, lam, r, tol=1e-13, max_iter=400):
 
 
 def _oracle_bounds(G, x):
-    """(inf, sup) of gamma(x) at a point x of G's closed domain."""
-    g = float(G.g(x))
-    lo = -math.inf if (x == G.domain_lo and G.seg_lo) else g
-    hi = math.inf if (x == G.domain_hi and G.seg_hi) else g
-    return lo, hi
+    """(inf, sup) of gamma(x) at a point x of G's closed domain: a finite
+    endpoint adds the vertical segment that makes the graph maximal."""
+    lo, hi = _oracle_domain(G)
+    g = _oracle_g(G, x)
+    return (-math.inf if x == lo > -math.inf else g), (math.inf if x == hi < math.inf else g)
 
 
 def oracle_resolve_terms(terms, r, tol=1e-13, max_iter=400):
     """Scalar bisection on x + sum_i lam_i*g_i(x) = r over the common domain,
     capturing r on the vertical segments at its finite endpoints (value
     bounds summed over the terms)."""
-    lo = max(G.domain_lo for _, G in terms)
-    hi = min(G.domain_hi for _, G in terms)
+    lo = max(_oracle_domain(G)[0] for _, G in terms)
+    hi = min(_oracle_domain(G)[1] for _, G in terms)
     if lo > hi:
         raise ValueError("disjoint domains")
 
     def h(x):
-        return x + sum(lam * float(G.g(x)) for lam, G in terms)
+        return x + sum(lam * _oracle_g(G, x) for lam, G in terms)
 
     def sup_at(x):
         return x + sum(lam * _oracle_bounds(G, x)[1] for lam, G in terms)
@@ -144,7 +167,7 @@ def oracle_apply_diffusion(mesh, f, a, bc):
     import numpy as np
 
     def section(v):
-        x = min(max(v, bc.domain_lo), bc.domain_hi)
+        x = min(max(v, _oracle_domain(bc)[0]), _oracle_domain(bc)[1])
         lo, hi = _oracle_bounds(bc, x)
         return 0.0 if lo <= 0.0 <= hi else (lo if lo > 0.0 else hi)
 

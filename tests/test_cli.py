@@ -9,6 +9,7 @@ import pytest
 
 from mmrd.cli import main
 from mmrd.errors import ConfigurationError
+from mmrd.graphs import MonotoneGraph
 from mmrd.scenarios import (
     PRESET_NAMES,
     build_problem,
@@ -32,12 +33,39 @@ BASE = {
     "time": {"t_end": 0.5, "blowup_threshold": 1e3},
 }
 
+# (graph JSON, the graph it names): each of the seven kinds, with params
+# given and left out
+GRAPHS_BY_KIND = [
+    ({"kind": "zero"}, MonotoneGraph("zero")),
+    ({"kind": "linear", "slope": 0.5}, MonotoneGraph("linear", (0.5,))),
+    ({"kind": "linear"}, MonotoneGraph("linear", (1.0,))),
+    ({"kind": "power", "alpha": 2.0, "q": 3.0}, MonotoneGraph("power", (2.0, 3.0))),
+    ({"kind": "power"}, MonotoneGraph("power", (1.0, 2.0))),
+    ({"kind": "dirichlet"}, MonotoneGraph("dirichlet")),
+    ({"kind": "extended_power", "q": 2.5}, MonotoneGraph("extended_power", (1.0, 2.5))),
+    ({"kind": "extended_neumann"}, MonotoneGraph("extended_neumann")),
+    ({"kind": "obstacle", "level": 2.0}, MonotoneGraph("obstacle", (2.0,))),
+    ({"kind": "obstacle"}, MonotoneGraph("obstacle", (1.0,))),
+]
+
 
 def test_parse_scenario_roundtrip_idempotent():
     s1 = parse_scenario(json.dumps(BASE))
     d1 = scenario_to_dict(s1)
     s2 = parse_scenario(json.dumps(d1))
     assert scenario_to_dict(s2) == d1
+    # every kind survives the round trip, a left-out param takes its JSON
+    # default, and the problem holds the graph the JSON names
+    for given, graph in GRAPHS_BY_KIND:
+        obj = json.loads(json.dumps(BASE))
+        obj["components"][0]["interior_graph"] = given
+        obj["components"][0]["boundary_graph"] = given
+        d1 = scenario_to_dict(parse_scenario(json.dumps(obj)))
+        assert d1["components"][0]["boundary_graph"] == graph.to_dict()
+        s2 = parse_scenario(json.dumps(d1))
+        assert scenario_to_dict(s2) == d1
+        problem, _ = build_problem(s2)
+        assert problem.interior == problem.boundary == (graph,)
 
 
 def test_parse_rejects_unknown_keys_with_path():
@@ -52,6 +80,13 @@ def test_parse_rejects_bad_exponent_with_path():
     bad["components"][0]["boundary_graph"]["q"] = 1.0
     with pytest.raises(ConfigurationError, match=r"components\[0\].boundary_graph.q"):
         parse_scenario(json.dumps(bad))
+    for graph, key in (({"kind": "power", "alpha": -1.0}, "alpha"),
+                       ({"kind": "obstacle", "level": 0.0}, "level"),
+                       ({"kind": "linear", "slope": -0.5}, "slope"),
+                       ({"kind": "nonsense"}, "kind")):
+        bad["components"][0]["boundary_graph"] = graph
+        with pytest.raises(ConfigurationError, match=rf"components\[0\].boundary_graph.{key}:"):
+            parse_scenario(json.dumps(bad))
 
 
 def test_parse_rejects_component_count_mismatch():

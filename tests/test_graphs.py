@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from mmrd import (
     ConfigurationError,
-    GraphSpec,
     MonotoneGraph,
     dirichlet_graph,
     dominates,
@@ -20,7 +20,6 @@ from mmrd import (
     extended_neumann_graph,
     extended_power_graph,
     linear_graph,
-    make_graph,
     obstacle_graph,
     power_graph,
     resolvent,
@@ -49,96 +48,111 @@ LIBRARY_GRAPHS = {
 
 
 def test_make_graph_domains_and_segments():
-    d = make_graph(GraphSpec("dirichlet"))
-    assert (d.domain_lo, d.domain_hi, d.seg_lo, d.seg_hi) == (0.0, 0.0, True, True)
+    d = MonotoneGraph("dirichlet")
+    assert (d.domain_lo, d.domain_hi) == (0.0, 0.0)
+    assert eval_graph(d, 0.0) == (-math.inf, math.inf)
 
-    p = make_graph(GraphSpec("power", alpha=1.0, q=3.0))
+    p = MonotoneGraph("power", (1.0, 3.0))
     assert p.domain_lo == -math.inf and p.domain_hi == math.inf
-    assert not p.seg_lo and not p.seg_hi
     assert eval_graph(p, 2.0) == (4.0, 4.0)
 
-    ep = make_graph(GraphSpec("extended_power", alpha=1.0, q=2.0))
-    assert (ep.domain_lo, ep.domain_hi, ep.seg_lo, ep.seg_hi) == (0.0, math.inf, True, False)
+    ep = MonotoneGraph("extended_power", (1.0, 2.0))
+    assert (ep.domain_lo, ep.domain_hi) == (0.0, math.inf)
     assert eval_graph(ep, 0.0) == (-math.inf, 0.0)
 
-    en = make_graph(GraphSpec("extended_neumann"))
-    assert (en.domain_lo, en.seg_lo) == (0.0, True)
+    en = MonotoneGraph("extended_neumann")
+    assert en.domain_lo == 0.0
+    assert eval_graph(en, 0.0) == (-math.inf, 0.0)
     assert eval_graph(en, 3.0) == (0.0, 0.0)
 
-    ob = make_graph(GraphSpec("obstacle", level=1.0))
-    assert (ob.domain_lo, ob.domain_hi, ob.seg_lo, ob.seg_hi) == (-1.0, 1.0, True, True)
+    ob = MonotoneGraph("obstacle", (1.0,))
+    assert (ob.domain_lo, ob.domain_hi) == (-1.0, 1.0)
+    assert eval_graph(ob, -1.0) == (-math.inf, 0.0) and eval_graph(ob, 1.0) == (0.0, math.inf)
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        GraphSpec("power", alpha=1.0, q=1.0),
-        GraphSpec("power", alpha=-0.5, q=2.0),
-        GraphSpec("extended_power", alpha=1.0, q=0.5),
-        GraphSpec("obstacle", level=0.0),
-        GraphSpec("nonsense"),
+        ("power", (1.0, 1.0)),
+        ("power", (-0.5, 2.0)),
+        ("extended_power", (1.0, 0.5)),
+        ("obstacle", (0.0,)),
+        ("nonsense", ()),
     ],
 )
 def test_make_graph_rejects_bad_parameters(spec):
     with pytest.raises(ConfigurationError):
-        make_graph(spec)
+        MonotoneGraph(*spec)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        (-math.inf, math.inf, np.zeros_like, False, False, "custom"),
-        (-math.inf, math.inf, np.zeros_like, False, False, "nonsense"),
-        # [0, inf) without the segment at 0: r < 0 has no resolvent
-        (0.0, math.inf, np.zeros_like, False, False, "extended_neumann"),
-        # an obstacle without its upper segment: r > level has no resolvent
-        (-1.0, 1.0, np.zeros_like, True, False, "obstacle", (1.0,)),
-    ],
-    ids=["custom", "unknown_kind", "no_segment_at_0", "obstacle_no_upper_segment"],
-)
+@pytest.mark.parametrize("args", [("custom",), ("nonsense",)], ids=["custom", "unknown_kind"])
 def test_graph_of_unknown_kind_or_without_endpoint_segment_rejected(args):
-    for kind in graphs.KINDS:  # the seven factories pass the check
-        assert make_graph(GraphSpec(kind)).kind == kind
+    """A graph's domain and endpoint segments follow from its kind, so a
+    graph without the segment at a finite endpoint can no longer be asked
+    for; an unknown kind is refused."""
+    for kind in graphs.KINDS:  # the seven kinds pass the check
+        assert MonotoneGraph(kind, tuple(graphs.KINDS[kind].params.values())).kind == kind
     with pytest.raises(ConfigurationError):
         MonotoneGraph(*args)
 
 
-INF = math.inf
-
-
 @pytest.mark.parametrize(
     "args",
     [
-        # params that do not fit the kind
-        (-INF, INF, lambda r: 5 * r, False, False, "linear"),
-        (-INF, INF, lambda r: -r, False, False, "linear", (-1.0,)),
-        (-INF, INF, np.sign, False, False, "power", (1.0, 0.5)),
-        (-INF, INF, np.sign, False, False, "power", (1.0,)),
-        (0.0, INF, np.zeros_like, True, False, "extended_power", (-1.0, 2.0)),
-        (0.0, INF, np.zeros_like, True, False, "extended_power", (1.0, 2.0, 3.0)),
-        (0.0, 0.0, np.zeros_like, True, True, "obstacle", (0.0,)),
-        (-1.0, 1.0, np.zeros_like, True, True, "obstacle"),
-        (-INF, INF, np.zeros_like, False, False, "zero", (1.0,)),
-        (0.0, 0.0, np.zeros_like, True, True, "dirichlet", (1.0,)),
-        # a domain that does not match the kind
-        (0.0, INF, np.zeros_like, True, False, "zero"),
-        (0.0, INF, np.zeros_like, True, False, "linear", (1.0,)),
-        (-INF, INF, np.zeros_like, False, False, "extended_power", (1.0, 2.0)),
-        (0.0, 1.0, np.zeros_like, True, True, "dirichlet"),
-        (1.0, INF, np.zeros_like, True, False, "extended_neumann"),
-        (-2.0, 2.0, np.zeros_like, True, True, "obstacle", (1.0,)),
+        ("linear", ()),
+        ("linear", (-1.0,)),
+        ("power", (1.0, 0.5)),
+        ("power", (1.0,)),
+        ("extended_power", (-1.0, 2.0)),
+        ("extended_power", (1.0, 2.0, 3.0)),
+        ("obstacle", (0.0,)),
+        ("obstacle", ()),
+        ("zero", (1.0,)),
+        ("dirichlet", (1.0,)),
+        # an infinite level: the domain would have no finite endpoint for
+        # the segment an obstacle needs
+        ("obstacle", (math.inf,)),
+        ("obstacle", (1.0, 2.0)),
+        ("extended_neumann", (1.0,)),
+        ("linear", (math.nan,)),
+        ("extended_power", (math.nan, 2.0)),
+        ("power", (1.0, math.nan)),
     ],
 )
 def test_graph_whose_params_or_domain_do_not_fit_its_kind_rejected(args):
-    """The resolvent trusts kind and params, so a graph whose params or
-    domain disagree with its kind is refused when built (linear without
-    params made resolve_terms raise IndexError, and a power graph with
-    q = 0.5 resolved silently)."""
+    """The resolvent trusts kind and params, so a graph whose params do not
+    fit its kind is refused when built (linear without params made
+    resolve_terms raise IndexError, and a power graph with q = 0.5
+    resolved silently)."""
     with pytest.raises(ConfigurationError):
         MonotoneGraph(*args)
     built = [zero_graph(), linear_graph(0.0), power_graph(0.0, 1.5), dirichlet_graph(),
              extended_power_graph(2.0, 3.0), extended_neumann_graph(), obstacle_graph(0.25)]
     assert [G.kind for G in built] == list(graphs.KINDS)  # the seven factories still build
+
+
+def test_graph_is_its_kind_and_params():
+    """Equal (kind, params) make equal graphs, and nothing else can be
+    stored: a selection that disagreed with the kind (a "zero" graph with
+    g(r) = 5r resolved 6 to 6, while eval_graph reported 5) cannot be
+    passed."""
+    assert power_graph(1, 3) == power_graph(1.0, 3.0) == MonotoneGraph("power", [1, 3])
+    assert hash(power_graph(1, 3)) == hash(power_graph(1.0, 3.0))
+    assert power_graph(1.0, 3.0) != extended_power_graph(1.0, 3.0)
+    assert power_graph(1.0, 3.0) != power_graph(1.0, 2.5)
+    assert [f.name for f in dataclasses.fields(MonotoneGraph)] == ["kind", "params"]
+    with pytest.raises(TypeError):
+        MonotoneGraph(-math.inf, math.inf, lambda r: 5 * r, False, False, "zero")
+    with pytest.raises(TypeError):
+        MonotoneGraph("zero", (), selection=lambda r: 5 * r)
+
+
+def test_merge_terms_merges_equal_graphs():
+    a, b = power_graph(1.0, 3.0), power_graph(1.0, 3.0)
+    assert a == b and a is not b
+    assert graphs._merge_terms([(1.0, a), (2.0, b)]) == [(3.0, a)]
+    assert graphs._merge_terms([(1.0, a), (2.0, extended_power_graph(1.0, 3.0))]) == [
+        (1.0, a), (2.0, extended_power_graph(1.0, 3.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +413,13 @@ graph_params = st.fixed_dictionaries(
 )
 
 
+def _graph(kind, p):
+    """The graph of this kind with its params taken from ``p`` by JSON name."""
+    return MonotoneGraph(kind, tuple(p[name] for name in graphs.KINDS[kind].params))
+
+
 def _sum_terms(kinds, params, weights):
-    return [(lam, make_graph(GraphSpec(k, **p))) for k, p, lam in zip(kinds, params, weights)]
+    return [(lam, _graph(k, p)) for k, p, lam in zip(kinds, params, weights)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -474,8 +493,12 @@ def test_resolvent_slope_ignores_power_weight_that_underflows():
 def test_scaled_plan_stands_for_its_scaled_terms(kinds, params, weights, s):
     terms = _sum_terms(kinds, params, weights)
     R = graphs.ResolventPlan(terms).at(s)
-    scaled = [(s * lam, G) for lam, G in terms if G.kind != "zero"]
-    assert [(lam, id(G)) for lam, G in R] == [(lam, id(G)) for lam, G in scaled]
+    merged = {}  # equal graphs are one term, in the order they first appear
+    for lam, G in terms:
+        if G.kind != "zero":
+            merged[G] = merged.get(G, 0.0) + lam
+    scaled = [(s * lam, G) for G, lam in merged.items()]
+    assert list(R) == scaled
     rs = np.linspace(-6.0, 6.0, 13)
     x = resolve_terms(rs, R)
     np.testing.assert_allclose(x, resolve_terms(rs, scaled), rtol=1e-12, atol=1e-14)

@@ -20,11 +20,10 @@ import mmrd.graphs
 import mmrd.stepper
 from mmrd.errors import SolverFailure
 from mmrd.graphs import (
-    GraphSpec,
+    MonotoneGraph,
     dirichlet_graph,
     extended_neumann_graph,
     extended_power_graph,
-    make_graph,
     obstacle_graph,
     zero_graph,
 )
@@ -717,6 +716,11 @@ graph_params = st.fixed_dictionaries(
 )
 
 
+def _graph(kind, p):
+    """The graph of this kind with its params taken from ``p`` by JSON name."""
+    return MonotoneGraph(kind, tuple(p[name] for name in mmrd.graphs.KINDS[kind].params))
+
+
 def _is_equilibrium(G, C):
     return G.contains(C) and float(G.g(C)) == 0.0
 
@@ -735,7 +739,7 @@ def test_step_solves_inclusion_and_keeps_order(kinds, params, dim, log_mu, level
     [1e-2, 1e2], 1D and 2D: the step solves every nodal inclusion (checked
     against an independent stencil and bisection), ordered data give ordered
     results, and equilibrium constants are fixed points."""
-    beta, gamma = (make_graph(GraphSpec(k, **p)) for k, p in zip(kinds, params))
+    beta, gamma = (_graph(k, p) for k, p in zip(kinds, params))
     mesh = build_mesh(1, [1.0], [9]) if dim == 1 else build_mesh(2, [1.0, 1.5], [6, 5])
     dt = 1e-2
     a = 10.0**log_mu * mesh.spacing[0] ** 2 / dt
@@ -803,7 +807,7 @@ def stacked_case(d):
     data scale; no reaction, or the increasing diagonal F(u) = u|u|."""
     m = d["m"]
     mesh = build_mesh(1, [1.0], [9]) if d["dim"] == 1 else build_mesh(2, [1.0, 1.5], [6, 5])
-    graphs = [make_graph(GraphSpec(kind, **p)) for kind, p in
+    graphs = [_graph(kind, p) for kind, p in
               zip((g for pair in d["kinds"] for g in pair), d["params"])]
     reaction = custom_reaction(m, lambda U: U * np.abs(U)) if d["reacting"] else zero_reaction(m)
     rng = np.random.default_rng(d["seed"])
