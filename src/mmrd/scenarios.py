@@ -120,15 +120,30 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
             raise ConfigurationError(f"{path}.{key}: missing required key")
 
 
+def _as_number(v, path: str) -> float:
+    """v as a float; a JSON number only, not a bool, a string or null."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigurationError(f"{path}: expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigurationError(f"{path}: number out of range") from None
+
+
+def _as_integer(v, path: str) -> int:
+    """v as an int; a JSON number with an integer value (3 or 3.0, not 3.9)."""
+    x = _as_number(v, path)
+    if not x.is_integer():
+        raise ConfigurationError(f"{path}: expected an integer, got {v!r}")
+    return int(x)
+
+
 def _number(obj: dict, key: str, path: str, default=None) -> float:
     if key not in obj:
         if default is None:
             raise ConfigurationError(f"{path}.{key}: missing required key")
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigurationError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _as_number(obj[key], f"{path}.{key}")
 
 
 def _parse_graph(obj: dict, path: str) -> MonotoneGraph:
@@ -162,7 +177,7 @@ def _parse_initial(obj: dict, path: str, dim: int) -> InitialSpec:
             vals = [v] if isinstance(v, (int, float)) and not isinstance(v, bool) else v
             if not isinstance(vals, (list, tuple)) or len(vals) != dim:
                 raise ConfigurationError(f"{path}.{key}: expected {dim} value(s)")
-            return tuple(float(x) for x in vals)
+            return tuple(_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(vals))
 
         center = axis_tuple("center")
         width = axis_tuple("width")
@@ -207,6 +222,8 @@ def _parse_time(obj: dict, path: str) -> TimeControl:
             safety=_number(obj, "safety", path, 0.1),
         )
     except ConfigurationError as exc:
+        if str(exc).startswith(path):
+            raise
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
@@ -222,10 +239,10 @@ def scenario_from_dict(obj: dict, path: str = "scenario", allow_pair: bool = Tru
     for key in ("lengths", "counts"):
         if not isinstance(dom[key], (list, tuple)) or len(dom[key]) != dim:
             raise ConfigurationError(f"{path}.domain.{key}: expected {dim} value(s)")
-    lengths = tuple(float(v) for v in dom["lengths"])
-    counts = tuple(int(v) for v in dom["counts"])
-    if any(v <= 0 for v in lengths):
-        raise ConfigurationError(f"{path}.domain.lengths: must be > 0")
+    lengths = tuple(_as_number(v, f"{path}.domain.lengths[{i}]") for i, v in enumerate(dom["lengths"]))
+    counts = tuple(_as_integer(v, f"{path}.domain.counts[{i}]") for i, v in enumerate(dom["counts"]))
+    if not all(0 < v < np.inf for v in lengths):
+        raise ConfigurationError(f"{path}.domain.lengths: must be finite and > 0")
     if any(n < 3 for n in counts):
         raise ConfigurationError(f"{path}.domain.counts: must be >= 3")
 
@@ -400,7 +417,7 @@ def _nr_preset(name, boundaries, interiors, a, b, u10, u20, n, t_end, blowup_thr
 def _build_preset(name: str, **kw) -> dict:
     """Raw scenario dict for a named preset; keyword arguments override the
     desk-scale defaults (p, alpha, q, c, a, b, n, t_end, ...)."""
-    n = int(kw.pop("n", 101))
+    n = _as_integer(kw.pop("n", 101), f"preset:{name}.n")
     t_end = kw.pop("t_end", 1.0)
     B = kw.pop("blowup_threshold", 1e3)
     safety = kw.pop("safety", 0.1)
@@ -435,8 +452,9 @@ def _build_preset(name: str, **kw) -> dict:
         alpha2 = kw.pop("alpha2", 1.0)
         gamma1 = kw.pop("gamma1", 2.5)
         gamma2 = kw.pop("gamma2", 2.5)
-        u10 = {"kind": "constant", "value": kw.pop("u10", 1.0)}
-        u20 = {"kind": "constant", "value": kw.pop("u20", 1.0)}
+        # the default obstacle level adds them up
+        u10 = {"kind": "constant", "value": _as_number(kw.pop("u10", 1.0), f"preset:{name}.u10")}
+        u20 = {"kind": "constant", "value": _as_number(kw.pop("u20", 1.0), f"preset:{name}.u20")}
         if name == "NR_dirichlet":
             boundaries = [{"kind": "dirichlet"}, {"kind": "dirichlet"}]
         else:

@@ -20,13 +20,23 @@ nonnegative, and ordered states stay ordered.
 Each run keeps one workspace per problem (``_Workspace``), built once: the
 stencil and the resolvent plans of the node classes, grouped across
 components where they agree.  Per dt it only rescales them, and dt is
-unchanged on most steps.  Diffusion is linear, so the Newton matrix
-I - diag(R') N / c changes only where the resolvent slope R' moves (the
-boundary rows, for a zero interior graph), and little between steps of
-equal dt.  The workspace therefore also keeps the matrix's factors
-across iterations and steps and uses them for chord steps, refactoring when
-dt changes or a chord step converges slowly or not at all (Kelley 2003,
-the chord and Shamanskii methods).  The matrix has unit diagonal and
+unchanged on most steps.  It also keeps the last accepted states, and
+each Newton solve starts from their quadratic extrapolation to the new
+time, not from the old state (Hairer & Wanner, Solving ODEs II, 2nd ed.,
+IV.8, on starting values): on a smooth stretch the first residual is then
+O(dt^3), not O(dt), and fewer chord solves finish the step.  Diffusion is
+linear, so the Newton matrix I - diag(R') N / c changes only where the
+resolvent slope R' moves (the boundary rows, for a zero interior graph),
+and little between steps of equal dt.  The workspace therefore also keeps
+the matrix's factors across iterations and steps and uses them for chord
+steps (Kelley 2003, the chord and Shamanskii methods).  It refactors when
+dt changes, when a chord step lowers the residual by less than the factor
+``CHORD_RATE`` = 1/100, or when it does not lower it at all.  That factor
+is the one Hairer & Wanner (IV.8) advise for RADAU5's Jacobian reuse when
+Jacobians are costly: a 2D factorization costs about eight banded solves,
+so a kept factor that contracts 100x per step beats a fresh one, and in
+1D, where the two cost about the same, the looser rule moves the counts
+little.  The matrix has unit diagonal and
 off-diagonal row sums R' (c - 1) / c < 1, so it is strictly row diagonally
 dominant and its elimination needs no pivoting (Higham 2002, ch. 9).  The
 ghost-node stencil weighs nothing across the last node row of each axis,
@@ -81,7 +91,7 @@ __all__ = [
 ]
 
 SOLVE_TOL = 1e-10
-CHORD_RATE = 1e-3  # a step with kept factors must lower max|Phi| by this factor
+CHORD_RATE = 1e-2  # a step with kept factors must lower max|Phi| by this factor
 MAX_ITER = 500
 
 
@@ -344,10 +354,15 @@ class _Workspace:
     the symmetric system, and ``weight`` the trapezoid weights of one
     component's nodes relative to the interior's (1/2 per axis on a
     boundary row); both are None in 1D.
+
+    ``out`` is the array the last ``step`` with this workspace returned, and
+    ``history`` the (S, dt) of that step and, when its S was the ``out`` of
+    the step before, that step's (S, dt) too, newest first: the accepted
+    states behind ``out``, from which ``_extrapolate`` predicts the next.
     """
 
     __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "weight", "lu", "key",
-                 "dt", "c", "cs", "coupling", "groups")
+                 "dt", "c", "cs", "coupling", "groups", "out", "history")
 
     def __init__(self, P: ProblemSpec):
         self.problem = P
@@ -367,7 +382,8 @@ class _Workspace:
         if self.bw > 1:
             self.ab = np.empty((self.bw + 1, self.m * self.n), order="F")
             self.weight = P.mesh.quad_weights.ravel() / math.prod(P.mesh.spacing)
-        self.lu = self.key = self.dt = None
+        self.lu = self.key = self.dt = self.out = None
+        self.history = ()
 
     def rescale(self, dt: float) -> None:
         """Make the per-dt setup for the step size dt."""
@@ -383,9 +399,10 @@ class _Workspace:
         self.dt = dt
 
 
-def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> np.ndarray:
     """Semismooth Newton on Phi(u) = u - R((rhs + N u) / c) for all
-    components at once, on the stacked vector of ``ws``; ``rhs`` is (m, n).
+    components at once, on the stacked vector of ``ws``, from the start u;
+    ``rhs`` is (m, n).
 
     The reaction is frozen within a step, so the components decouple: the
     generalised Jacobian I - diag(R') N / c is block diagonal, one strictly
@@ -399,12 +416,17 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
     the solve stops when every component has, or at a NaN residual (the
-    driver classifies the non-finite state).  A component that has converged
-    may take further steps while another finishes.  The factors in ``ws``
+    driver classifies the non-finite state).  A ``predicted`` start (an
+    extrapolation, see ``step``) is not returned as it is, even when it
+    passes that test: it takes at least one Newton step, so that it saves
+    work and never accuracy.  (The test is absolute below |x| = 1, and a
+    start that lands just inside it would otherwise carry its error of up
+    to SOLVE_TOL into every step of a decaying run.)  A component that has
+    converged may take further steps while another finishes.  The factors in ``ws``
     are reused while they serve (a chord step), judged by the largest block
     residual: they are remade when there are none, when some c changed (a
     new dt), after a chord step that lowered max|Phi| by less than the
-    factor ``CHORD_RATE``, and at once when a chord step did not lower
+    factor ``CHORD_RATE`` (100x), and at once when a chord step did not lower
     max|Phi|.  A pivot that is not finite and positive (in 2D, dpbtrf's
     info != 0 or a non-finite pivot) leaves no factors, and so does a step
     with fresh factors that does not lower max|Phi|: either is replaced by
@@ -447,8 +469,8 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     x, res_k = resolve(u)
     res = float(res_k.max())
-    for _ in range(MAX_ITER):
-        if res != res or converged(x, res_k):
+    for it in range(MAX_ITER):
+        if res != res or ((it or not predicted) and converged(x, res_k)):
             return x
         fresh = ws.key != cs
         if fresh:
@@ -473,14 +495,40 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
 
 
+def _extrapolate(S: np.ndarray, dt: float, history) -> np.ndarray:
+    """The polynomial through S and the states of ``history`` (see
+    ``_Workspace``; S = step(S1, k1), S1 = step(S2, k2)), evaluated dt after
+    S: S itself without history, linear through S1, quadratic through S1 and
+    S2, in Newton's divided differences on the non-uniform grid."""
+    if not history:
+        return S
+    (S1, k1), *older = history
+    u = S - S1
+    if not older:
+        u *= dt / k1
+        u += S
+        return u
+    ((S2, k2),) = older
+    bend = dt * (dt + k1) / (k1 + k2)  # the second divided difference's weight
+    u *= (dt + bend) / k1
+    u += S
+    u -= (bend / k2) * (S1 - S2)
+    return u
+
+
 def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None = None) -> np.ndarray:
     """One backward-Euler step for all components in one semismooth Newton
     solve (see ``_solve``); raises SolverFailure when the solve stalls.
 
     ``workspace`` is the problem's ``_Workspace``, which the adaptive driver
-    keeps for the whole run; without it the step builds a fresh one.  It
-    changes the path of the solve, never the stopping test its result
-    passes.
+    keeps for the whole run; without it the step builds a fresh one.  When S
+    is the very array the workspace's last step returned, the solve starts
+    from the extrapolation of the accepted states behind it (``_extrapolate``,
+    Hairer & Wanner, Solving ODEs II, 2nd ed., IV.8), so its first residual
+    is O(dt^3) on smooth stretches in place of O(dt); any other S (the retry
+    of a step whose output was discarded, a caller's own state, a step
+    without workspace) starts from S.  The workspace changes the path of
+    the solve, never the stopping test its result passes.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
@@ -490,7 +538,10 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None 
     S = np.asarray(S, dtype=float)
     F = eval_reaction(P.reaction, S)
     rhs = (S + dt * F).reshape(ws.m, ws.n)
-    return _solve(ws, S.reshape(-1), rhs).reshape(S.shape)
+    history = ws.history if S is ws.out else ()
+    U = _solve(ws, _extrapolate(S, dt, history).reshape(-1), rhs, bool(history)).reshape(S.shape)
+    ws.out, ws.history = U, ((S, dt),) + history[:1]
+    return U
 
 
 # ---------------------------------------------------------------------------

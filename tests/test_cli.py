@@ -292,7 +292,27 @@ def test_cli_config_error_exit_1(tmp_path):
     assert main(["run", "--preset", "no_such_preset", "--out", str(tmp_path / "out")]) == 1
 
 
-@pytest.mark.parametrize("bad", ["scenario_dir", "scenario_not_utf8", "run_out_file", "eigen_out_file"])
+# (domain key, its bad value, the error's JSON path): not a number, null, a
+# bool, a fraction where an integer is due, not finite
+BAD_DOMAINS = {
+    "counts_string": ("counts", ["a"], "scenario.domain.counts[0]"),
+    "counts_fraction": ("counts", [3.9], "scenario.domain.counts[0]"),
+    "counts_inf": ("counts", [float("inf")], "scenario.domain.counts[0]"),
+    "counts_beyond_float": ("counts", [10**400], "scenario.domain.counts[0]"),
+    "lengths_null": ("lengths", [None], "scenario.domain.lengths[0]"),
+    "lengths_bool": ("lengths", [True], "scenario.domain.lengths[0]"),
+    "lengths_nan": ("lengths", [float("nan")], "scenario.domain.lengths"),
+}
+BAD_PRESET_PARAMS = {
+    "preset_n_string": ("Pp_power", '{"n": "a"}', "preset:Pp_power.n"),
+    "preset_n_null": ("Pp_power", '{"n": null}', "preset:Pp_power.n"),
+    "preset_n_fraction": ("Pp_power", '{"n": 21.7}', "preset:Pp_power.n"),
+    "preset_u10_string": ("NR_obstacle", '{"u10": "a", "level": 3}', "preset:NR_obstacle.u10"),
+}
+
+
+@pytest.mark.parametrize("bad", ["scenario_dir", "scenario_not_utf8", "run_out_file", "eigen_out_file",
+                                 *BAD_DOMAINS, *BAD_PRESET_PARAMS])
 def test_cli_bad_files_exit_1(tmp_path, capsys, bad):
     not_utf8 = tmp_path / "bad.json"
     not_utf8.write_bytes(b"\xff\xfe")
@@ -304,9 +324,21 @@ def test_cli_bad_files_exit_1(tmp_path, capsys, bad):
         "scenario_not_utf8": ["run", "--scenario", str(not_utf8), "--out", str(tmp_path / "out")],
         "run_out_file": ["run", *preset, "--out", str(a_file)],
         "eigen_out_file": ["eigen", *preset, "--out", str(a_file)],
-    }[bad]
+    }.get(bad)
+    where = "configuration error"
+    if bad in BAD_DOMAINS:
+        key, value, where = BAD_DOMAINS[bad]
+        obj = json.loads(json.dumps(BASE))
+        obj["domain"][key] = value
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(obj), encoding="utf-8")
+        argv = ["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]
+    elif bad in BAD_PRESET_PARAMS:
+        name, params, where = BAD_PRESET_PARAMS[bad]
+        argv = ["run", "--preset", name, "--params", params, "--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and where + ":" in err
 
 
 def test_cli_bad_params_json_exit_1(tmp_path, capsys):

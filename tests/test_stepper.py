@@ -391,6 +391,121 @@ def test_constant_dt_run_keeps_its_factorization(monkeypatch):
         assert oracle_step_residual(P, S, dt, U) <= 1e-9
 
 
+def test_constant_dt_2d_run_factors_at_most_four_times(monkeypatch):
+    """With the extrapolated start and chord steps kept while they contract
+    100x, 50 steps at dt_init factor the band at most 4 times and solve with
+    it at most 3 times per step, and every step still solves its nodal
+    inclusions."""
+    steps = []
+
+    def recording_step(P, S, dt, **kw):
+        U = step(P, S, dt, **kw)
+        steps.append((S, dt, U))
+        return U
+
+    factors, solves = [], []
+    count_calls(monkeypatch, "dpbtrf", factors)
+    count_calls(monkeypatch, "_band_solve", solves)
+    monkeypatch.setattr(mmrd.stepper, "step", recording_step)
+    P = plate_problem()
+    traj = run(P, TimeControl(t_end=0.05))
+    assert traj.status == "completed" and len(steps) == len(traj.times) - 1 == 50
+    assert 0 < len(factors) <= 4
+    assert len(solves) <= 3 * len(steps)
+    for S, dt, U in steps:
+        assert oracle_step_residual(P, S, dt, U) <= 1e-9
+
+
+def record_starts(monkeypatch):
+    """The Newton start of every ``_solve`` call, in order."""
+    starts = []
+    original = mmrd.stepper._solve
+
+    def recording(ws, u, *args):
+        starts.append(u.reshape((ws.m,) + ws.problem.mesh.shape).copy())
+        return original(ws, u, *args)
+
+    monkeypatch.setattr(mmrd.stepper, "_solve", recording)
+    return starts
+
+
+def lagrange(states, dts, h):
+    """The polynomial through the states, each dts[i] after the one before
+    it, evaluated h after the last one (Lagrange's form)."""
+    times = np.concatenate([[0.0], np.cumsum(dts)])
+    t = times[-1] + h
+    total = np.zeros_like(states[0])
+    for i, (ti, Si) in enumerate(zip(times, states)):
+        weight = np.prod([(t - tj) / (ti - tj) for j, tj in enumerate(times) if j != i])
+        total += weight * Si
+    return total
+
+
+def test_newton_starts_from_the_extrapolated_accepted_states(monkeypatch):
+    """Steps that each take the array the last one returned start from S,
+    then from the line through the last two states, then from the parabola
+    through the last three, on a non-uniform grid; a state the workspace
+    did not return, and a step without workspace, start from S."""
+    starts = record_starts(monkeypatch)
+    P = plate_problem(n=11)
+    ws = mmrd.stepper._Workspace(P)
+    dts = [1e-3, 5e-4, 2e-3, 1e-3]
+    states = [P.initial_state()]
+    for dt in dts[:3]:
+        states.append(step(P, states[-1], dt, workspace=ws))
+    expected = [states[0], lagrange(states[:2], dts[:1], dts[1]),
+                lagrange(states[:3], dts[:2], dts[2])]
+    for got, want in zip(starts, expected, strict=True):
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max())
+    # the same values in another array: the workspace cannot vouch for them
+    foreign = states[-1].copy()
+    step(P, foreign, dts[3], workspace=ws)
+    step(P, foreign, dts[3])
+    assert np.array_equal(starts[3], foreign) and np.array_equal(starts[4], foreign)
+
+
+def test_extrapolated_start_keeps_small_states_accurate():
+    """The stopping test is absolute below |u| = 1, and an extrapolated
+    start can land just inside it.  It still takes a Newton step, which is
+    exact for this linear problem (Dirichlet heat flow at amplitude 1e-4),
+    so a run matches the steps that start from S to rounding."""
+    P = scalar_problem(boundary=dirichlet_graph(), u0=lambda x: 1e-4 * np.sin(np.pi * x))
+    traj = run(P, TimeControl(t_end=0.05))
+    S = P.initial_state()
+    for dt in traj.dts[1:]:
+        S = step(P, S, dt)
+    assert len(traj.dts) == 51
+    assert float(np.abs(traj.final_state - S).max()) <= 1e-12 * float(np.abs(S).max())
+
+
+def test_retry_after_solver_failure_extrapolates_with_the_halved_dt(monkeypatch):
+    """A rejected attempt returns nothing, so its retry still extends the
+    accepted states, now by the halved dt; a problem whose attempt succeeded
+    but was discarded because another problem failed retries from S."""
+    starts = record_starts(monkeypatch)
+    P = plate_problem(n=11)
+    Q = ProblemSpec(P.mesh, P.diffusion, P.reaction, P.interior, P.boundary, 0.5 * P.initial_state())
+    calls = []  # (problem, S, dt) per step call
+
+    def failing_step(R, S, dt, **kw):
+        calls.append((R, S, dt))
+        if len(calls) == 6:  # Q's third step, after P's third succeeded
+            raise SolverFailure("injected", 1.0)
+        return step(R, S, dt, **kw)
+
+    monkeypatch.setattr(mmrd.stepper, "step", failing_step)
+    trajs = mmrd.stepper._advance([P, Q], TimeControl(t_end=0.003))
+    assert all(traj.status == "completed" for traj in trajs)
+    dt = calls[0][2]
+    assert [c[0] for c in calls[:8]] == [P, Q] * 4 and calls[6][2] == calls[7][2] == 0.5 * dt
+    # starts: P, Q, P, Q, P (kept until Q fails), then the retries of P and Q
+    retry_P, retry_Q = starts[5], starts[6]
+    assert np.array_equal(retry_P, calls[6][1])
+    Q_states = [calls[i][1] for i in (1, 3, 5)]
+    want = lagrange(Q_states, [dt, dt], 0.5 * dt)
+    assert float(np.abs(retry_Q - want).max()) <= 1e-12 * float(np.abs(want).max())
+
+
 def test_factors_of_another_problem_still_reach_the_solution():
     """Factors made for another problem of the same shape and dt serve only
     as a (possibly poor) chord matrix: the solve still stops within its
