@@ -33,24 +33,29 @@ steps (Kelley 2003, the chord and Shamanskii methods).  It refactors when
 dt changes, when a chord step lowers the residual by less than the factor
 ``CHORD_RATE`` = 1/100, or when it does not lower it at all.  That factor
 is the one Hairer & Wanner (IV.8) advise for RADAU5's Jacobian reuse when
-Jacobians are costly: a 2D factorization costs about eight banded solves,
-so a kept factor that contracts 100x per step beats a fresh one, and in
-1D, where the two cost about the same, the looser rule moves the counts
-little.  The matrix has unit diagonal and
-off-diagonal row sums R' (c - 1) / c < 1, so it is strictly row diagonally
-dominant and its elimination needs no pivoting (Higham 2002, ch. 9).  The
-ghost-node stencil weighs nothing across the last node row of each axis,
-so stacking the components keeps the bandwidth of one block, and the
-bandwidth picks the back end.  At bandwidth 1 (every 1D mesh) it is a
-tridiagonal elimination in plain Python.  Above it, the matrix is the
+Jacobians are costly: a 2D factorization costs about 12 to 20 banded
+solves (on the 41 x 41 mesh of the ``plate_2d`` benchmark, with one BLAS
+thread, dpbtrf takes 0.52-0.59 ms and dpbtrs 43-46 us, and with the band's
+assembly and the solve's scalings about 16x), so a kept factor that
+contracts 100x per step beats a fresh one, and in 1D, where the two cost
+about the same, the looser rule moves the counts little.  The matrix has
+unit diagonal and off-diagonal row sums R' (c - 1) / c < 1, so it is
+strictly row diagonally dominant and its elimination needs no pivoting
+(Higham 2002, ch. 9).  The ghost-node stencil weighs nothing across the
+last node row of each axis, so stacking the components keeps the
+bandwidth of one block, and the bandwidth picks the back end.  At
+bandwidth 1 (every 1D mesh) it is a tridiagonal elimination in plain
+Python.  Above it, the matrix is the
 discrete comparison operator, and N is self-adjoint in the trapezoid
 inner product: N = W^-1 K with W the node weights and K symmetric.  So
-scaling rows by W and columns by diag(R') gives a symmetric positive
-definite matrix (``_band_factor``), which LAPACK's banded Cholesky
-dpbtrf/dpbtrs factors in a band of bw + 1 rows, without pivots (Golub &
-Van Loan, Matrix Computations, 4th ed., 4.3).  Its scipy module is
-imported only when such a matrix is first factored, so that 1D runs never
-load scipy.
+scaling rows by W diag(R')^-1/2 and columns by diag(R')^1/2 gives a
+symmetric positive definite matrix with diagonal W (``_band_factor``).
+LAPACK's banded Cholesky dpbtrf factors it as L L^T in the lower half of a
+band of bw + 1 rows, without pivots (Golub & Van Loan, Matrix
+Computations, 4th ed., 4.3), and the factor is then rewritten in place as
+the upper band of U = L^T, from which dpbtrs solves U^T U z = r in half
+the time it takes from the lower band.  Its scipy module is imported only
+when such a matrix is first factored, so that 1D runs never load scipy.
 
 Time steps adapt to the reaction strength: dt is capped by
 safety * max(1, r) / ell(r), with r the summed sup norm, so that above
@@ -283,20 +288,34 @@ def _tridiag_solve(factors, b: np.ndarray) -> np.ndarray:
 def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling, c: np.ndarray):
     """Factor the Newton matrix A = I - diag(slope) N / c of the stacked
     components, slope and the (stride, up, down) weights of N on (m, n)
-    arrays, c (m, 1), by banded Cholesky of an equivalent symmetric system
-    whose lower half is assembled in the buffer ``ab`` of bw + 1 rows.  (Not
-    the upper half: with OpenBLAS 0.3.31 on two cores, dpbtrf took 4x as
-    long on it when BLAS could use both threads, and no longer on the lower
-    half.)
+    arrays, c (m, 1), by banded Cholesky of an equivalent symmetric system.
 
     With W the trapezoid node weights ``weight`` (relative to the
     interior's), K = W N is symmetric.  Write D = diag(slope) and C for the
     clipped nodes (D = 0), where A's row is e_p.  On the other nodes put
-    x = D z; then A x = b becomes M z = W b~ with M = W D - D K D / c and
-    b~ = b + D N b_C / c, b_C being b on C and 0 elsewhere.  M is symmetric,
-    and with y = D z, z'Mz = sum (W / D) y^2 - y'Ky / c >= y'(W - K/c)y > 0,
-    since W - K/c is strictly diagonally dominant.  The clipped nodes get
-    the rows and columns of the identity, z = x = b there.
+    E = D^1/2 and x = E z; then A x = b becomes M z = W E^-1 b~ with
+    M = W - E K E / c and b~ = b + D N b_C / c, b_C being b on C and 0
+    elsewhere.  M is symmetric with diagonal W, and strictly diagonally
+    dominant, since E <= 1 and W - K/c is (K's rows sum to W (c - 1)); so
+    it is positive definite, and its pivots keep the size of W however
+    small the slopes.  (With x = D z and M = W D - D K D / c, a slope of
+    1e-308 gave a NaN solution, and a subnormal one left no factors.)  The
+    clipped nodes get the rows and columns of the identity, z = x = b there.
+
+    M's lower half is assembled in the buffer ``ab`` of bw + 1 rows and
+    factored there by dpbtrf into L L^T.  (Not the upper half: with
+    OpenBLAS 0.3.31 on two cores, dpbtrf took 4x as long on it when BLAS
+    could use both threads, and no longer on the lower half.)  L is then
+    rewritten in place as the upper band storage of U = L^T, which
+    ``_band_solve`` hands to dpbtrs: on the band of the 41 x 41
+    ``plate_2d`` mesh (1681 unknowns, bw = 41), dpbtrs took 43-46 us per
+    call from the upper band against 92-97 us from the lower one with one
+    BLAS thread, and 45-92 us against 100-140 us with the default two,
+    while dpbtrf took 0.52-0.59 ms and the rewrite 0.17-0.23 ms.  Lower
+    band row s holds L's entry (q + s, q) at column q, and upper band row
+    bw - s holds U's entry (q - s, q), which is L's (q, q - s), at column
+    q: so row s moves to row bw - s, shifted right by s, one swap of rows s
+    and bw - s at a time through one row of temporary storage.
 
     Returns the factors for ``_band_solve``, or None when a pivot (a
     diagonal entry of the Cholesky factor) is not finite and positive:
@@ -304,32 +323,42 @@ def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling
     gives.
     """
     clipped = slope == 0.0
-    scale = np.where(clipped, 1.0, slope)  # x = scale * z
-    rows = np.where(clipped, 1.0, weight)  # M z = rows * b~
+    scale = np.sqrt(slope)  # x = scale * z, once the clipped nodes get 1
     # lower band storage: entry (p + s, p) = (p, p + s) in row s, column p
-    ab[0] = (rows * scale).reshape(-1)
+    ab[0] = np.where(clipped, 1.0, weight).reshape(-1)
     ab[1:] = 0.0
-    flat = slope.reshape(-1)
+    flat = scale.reshape(-1)
     for s, up, _ in coupling:
-        ab[s, :-s] = (slope * weight * up / -c).reshape(-1)[:-s] * flat[s:]
+        ab[s, :-s] = (scale * weight * up / -c).reshape(-1)[:-s] * flat[s:]
+    scale[clipped] = 1.0
+    rows = weight / scale  # M z = rows * b~
+    rows[clipped] = 1.0
     chol, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info != 0 or not np.isfinite(chol[0]).all():
         return None
+    # rewrite L in place as the upper band storage of U = L^T
+    bw, size = chol.shape[0] - 1, chol.shape[1]
+    for s in range(bw // 2 + 1):
+        t = bw - s
+        row = chol[s].copy()
+        chol[s, t:] = chol[t, :size - t]
+        chol[t, s:] = row[:size - s]
     correction = (clipped, slope / c, coupling) if clipped.any() else None
     return chol, scale.reshape(-1), rows.reshape(-1), correction
 
 
 def _band_solve(factors, b: np.ndarray) -> np.ndarray:
     """Solve A x = b with the factors of ``_band_factor``: form b~ (only
-    when some node is clipped), solve M z = W b~, and return x = D z
-    (z = b on the clipped nodes)."""
+    when some node is clipped), solve M z = W E^-1 b~ from the upper band of
+    U = L^T (U^T U = L L^T = M), and return x = E z (z = b on the clipped
+    nodes)."""
     chol, scale, rows, correction = factors
     if correction is not None:
         clipped, gain, coupling = correction
         q = np.zeros(gain.shape)
         _add_neighbours(q, np.where(clipped, b.reshape(gain.shape), 0.0), coupling)
         b = b + (gain * q).reshape(-1)
-    return scale * dpbtrs(chol, rows * b, lower=1, overwrite_b=1)[0]
+    return scale * dpbtrs(chol, rows * b, lower=0, overwrite_b=1)[0]
 
 
 class _Workspace:
@@ -350,10 +379,12 @@ class _Workspace:
     ``lu`` holds the factors of the stacked Newton matrix, made for the
     diagonals ``key``; a ``key`` of None means they must be remade before
     the next solve.  When the bandwidth is above 1 (a 2D mesh), ``ab`` is
-    the band buffer of ``_band_factor``, bw + 1 rows for the lower half of
-    the symmetric system, and ``weight`` the trapezoid weights of one
-    component's nodes relative to the interior's (1/2 per axis on a
-    boundary row); both are None in 1D.
+    the band buffer of ``_band_factor``, bw + 1 rows that hold the lower
+    half of the symmetric system, then its Cholesky factor L, and once the
+    factorization is done the upper band of L^T, from which the solves read;
+    ``weight`` is the trapezoid weights of one component's nodes relative
+    to the interior's (1/2 per axis on a boundary row).  Both are None in
+    1D.
 
     ``out`` is the array the last ``step`` with this workspace returned, and
     ``history`` the (S, dt) of that step and, when its S was the ``out`` of
@@ -412,7 +443,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     ``_tridiag_factor``/``_tridiag_solve`` serve it, and the node count of
     the last axis on a 2D mesh, where ``_band_factor``/``_band_solve``
     serve it by the banded Cholesky of its symmetric positive definite form
-    diag(W) A diag(R'), clipped nodes (R' = 0) taken out.
+    diag(W / sqrt(R')) A diag(sqrt(R')), clipped nodes (R' = 0) taken out.
 
     Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
     the solve stops when every component has, or at a NaN residual (the

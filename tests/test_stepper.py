@@ -717,12 +717,26 @@ def test_band_factor_and_solve_match_dense_solve():
         assert float(np.abs(got - expect).max()) <= 1e-12 * float(np.abs(expect).max())
 
 
+def symmetrized_newton_matrix(P, slope, A):
+    """W E^-1 A E with the off-diagonal entries of the clipped columns dropped
+    (they move to the right-hand side), where W is the trapezoid weights
+    relative to the interior's and E = diag(sqrt(R')), both 1 on the clipped
+    nodes (R' = 0): the symmetric matrix that ``_band_factor`` factors."""
+    d = slope.ravel()
+    clipped = d == 0.0
+    e = np.where(clipped, 1.0, np.sqrt(d))
+    w_axes = [np.ones(k) for k in P.mesh.shape]
+    for w in w_axes:
+        w[0] = w[-1] = 0.5
+    w = np.tile(np.multiply.outer(*w_axes).ravel(), slope.shape[0])
+    M = np.where(clipped, 1.0, w / e)[:, None] * A * e[None, :]
+    M[~np.eye(d.size, dtype=bool) & clipped[None, :]] = 0.0
+    return M
+
+
 def test_assembled_band_is_lower_half_of_symmetrized_newton_matrix(monkeypatch):
-    """The band handed to dpbtrf holds the lower half of W A E with the
-    off-diagonal entries of the clipped columns dropped (they move to the
-    right-hand side), where W is the trapezoid weights relative to the
-    interior's (1 on clipped rows) and E = diag(R') (1 on clipped nodes);
-    that matrix is symmetric."""
+    """The band handed to dpbtrf holds the lower half of
+    ``symmetrized_newton_matrix``, and that matrix is symmetric."""
     dt = 0.05
     P, ws, slope = clipped_plate_workspace(dt)
     A = dense_newton_matrix(P, dt, slope)
@@ -743,17 +757,77 @@ def test_assembled_band_is_lower_half_of_symmetrized_newton_matrix(monkeypatch):
     for d in range(bw + 1):
         lower[np.arange(d, size), np.arange(size - d)] = band[d, :size - d]
 
-    d = slope.ravel()
-    clipped = d == 0.0
-    w_axes = [np.ones(k) for k in P.mesh.shape]
-    for w in w_axes:
-        w[0] = w[-1] = 0.5
-    w = np.tile(np.multiply.outer(*w_axes).ravel(), ws.m)
-    expect = np.where(clipped, 1.0, w)[:, None] * A * np.where(clipped, 1.0, d)[None, :]
-    off = ~np.eye(size, dtype=bool)
-    expect[off & clipped[None, :]] = 0.0
+    expect = symmetrized_newton_matrix(P, slope, A)
     np.testing.assert_allclose(expect, expect.T, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(lower, np.tril(expect), rtol=1e-14, atol=0.0)
+
+
+def test_band_factors_are_the_upper_band_of_the_transposed_factor_in_place(monkeypatch):
+    """After dpbtrf has factored the lower band into L, ``_band_factor``
+    rewrites L in the workspace's own buffer as the upper band storage of
+    U = L^T, and ``_band_solve`` hands that buffer to dpbtrs as an upper
+    band: U^T U is the symmetrized Newton matrix."""
+    dt = 0.05
+    P, ws, slope = clipped_plate_workspace(dt)
+    A = dense_newton_matrix(P, dt, slope)
+    calls = []
+    original = mmrd.stepper.dpbtrs
+
+    def recording(ab, b, **kw):
+        calls.append((ab, kw))
+        return original(ab, b, **kw)
+
+    monkeypatch.setattr(mmrd.stepper, "dpbtrs", recording)
+    factors = mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c)
+    assert factors is not None
+    mmrd.stepper._band_solve(factors, np.ones(ws.m * ws.n))
+    ((band, kw),) = calls
+    assert np.shares_memory(band, ws.ab)
+    assert kw["lower"] == 0
+    bw, size = band.shape[0] - 1, band.shape[1]
+    upper = np.zeros((size, size))
+    for d in range(bw + 1):  # entry (q - d, q) of U in row bw - d, column q
+        upper[np.arange(size - d), np.arange(d, size)] = band[bw - d, d:]
+    expect = symmetrized_newton_matrix(P, slope, A)
+    got = upper.T @ upper
+    assert float(np.abs(got - expect).max()) <= 1e-13 * float(np.abs(expect).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+    m=st.sampled_from([1, 2]),
+    log_mus=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    data=st.data(),
+)
+def test_band_factor_and_solve_match_dense_solve_for_any_slopes(counts, m, log_mus, data):
+    """The banded Cholesky of the symmetrized system solves
+    I - diag(slope) N / c of m stacked components on an nx x ny mesh, with
+    resolvent slopes in [0, 1] (0 on clipped nodes) and the 2D ghost-node
+    weights N, as numpy.linalg.solve does, for every mu = a dt / h^2 per
+    axis and component in [1e-3, 1e3]."""
+    # dt = 1 and a = 1 for component 0: mu = 1 / h^2 on each axis
+    spacing = [10.0 ** (-0.5 * log_mu) for log_mu in log_mus]
+    mesh = build_mesh(2, [(k - 1) * h for k, h in zip(counts, spacing)], counts)
+    diffusion = (1.0,)
+    if m == 2:
+        diffusion += (10.0 ** data.draw(st.floats(-3.0 - min(log_mus), 3.0 - max(log_mus))),)
+    P = ProblemSpec(mesh, diffusion, zero_reaction(m), (zero_graph(),) * m, (zero_graph(),) * m,
+                    np.zeros((m,) + mesh.shape))
+    ws = mmrd.stepper._Workspace(P)
+    ws.rescale(1.0)
+    slope = data.draw(arrays(np.float64, (m, ws.n), elements=unit_floats))
+    b = data.draw(arrays(np.float64, m * ws.n, elements=st.floats(-1e3, 1e3)))
+    factors = mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c)
+    assert factors is not None
+    got = mmrd.stepper._band_solve(factors, b.copy())
+    A = dense_newton_matrix(P, 1.0, slope)
+    expect = np.linalg.solve(A, b)
+    # as in the tridiagonal test: both solves err by about cond(A) * eps;
+    # below about 1e-290 the scaled right-hand sides and the substitutions
+    # underflow to subnormal numbers, which carry no relative precision
+    tol = max(1e-13, 1e-15 * np.linalg.cond(A, np.inf))
+    assert float(np.abs(got - expect).max()) <= tol * max(float(np.abs(expect).max()), 1e-290)
 
 
 def test_nan_slope_leaves_no_band_factors():
