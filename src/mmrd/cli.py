@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .compare import check_assumptions, run_pair
 from .errors import ConfigurationError
-from .mesh import build_mesh
 from .scenarios import (
     PRESET_NAMES,
     Scenario,
@@ -70,7 +69,7 @@ def _outdir(args) -> Path:
 
 
 def _stamp(scenario: Scenario) -> str:
-    return f"# mmrd {__version__} scenario={scenario.name or 'unnamed'}"
+    return f"# mmrd {__version__} scenario={scenario.data['name'] or 'unnamed'}"
 
 
 def write_csv(traj: Trajectory, path: Path, m: int, stamp: str, nuclear: bool) -> None:
@@ -96,12 +95,12 @@ def write_csv(traj: Trajectory, path: Path, m: int, stamp: str, nuclear: bool) -
             fh.write(f"# status={traj.status}\n")
 
 
-def _nuclear_observer(scenario: Scenario, problem):
+def _nuclear_observer(problem):
     """Per-step Kaplan moments y(t), z(t) for the coupled system."""
-    if scenario.reaction.kind != "nuclear":
+    if problem.reaction.kind != "nuclear":
         return None
     ep = principal_eigenpair(problem.mesh, "analytic")
-    a, b = scenario.reaction.a, scenario.reaction.b
+    a, b = problem.reaction.a, problem.reaction.b
 
     def observer(t, state):
         out = {"y": kaplan_y(state[1], ep)}
@@ -120,8 +119,8 @@ def cmd_run(args) -> int:
     scenario = _load_scenario(args)
     out = _outdir(args)
     problem, tc = build_problem(scenario)
-    nuclear = scenario.reaction.kind == "nuclear"
-    traj = run(problem, tc, observer=_nuclear_observer(scenario, problem))
+    nuclear = problem.reaction.kind == "nuclear"
+    traj = run(problem, tc, observer=_nuclear_observer(problem))
     write_csv(traj, out / "trajectory.csv", problem.m, _stamp(scenario), nuclear)
     verdict = detect_blowup(traj)
     summary = {
@@ -149,9 +148,9 @@ def cmd_compare(args) -> int:
         raise ConfigurationError("compare needs a scenario with a 'pair' block")
     out = _outdir(args)
     p_sub, tc = build_problem(scenario)
-    p_super, _ = build_problem(scenario.pair.scenario)
-    a3 = scenario.pair.override_a3 or args.override_a3
-    a4 = scenario.pair.override_a4 or args.override_a4
+    p_super, _ = build_problem(scenario.pair)
+    a3 = scenario.data["pair"]["override_a3"] or args.override_a3
+    a4 = scenario.data["pair"]["override_a4"] or args.override_a4
     report_path = out / "compare_report.txt"
 
     assumptions = check_assumptions(p_sub, p_super, a3_apriori=a3, a4_apriori=a4)
@@ -161,9 +160,9 @@ def cmd_compare(args) -> int:
         print("\n".join(assumptions.summary_lines()))
         return EXIT_ASSUMPTIONS
 
-    nuclear = scenario.reaction.kind == "nuclear"
+    nuclear = p_sub.reaction.kind == "nuclear"
     rep = run_pair(p_sub, p_super, tc, assumptions=assumptions,
-                   observer=_nuclear_observer(scenario, p_sub))
+                   observer=_nuclear_observer(p_sub))
     write_csv(rep.traj_sub, out / "sub_trajectory.csv", p_sub.m, _stamp(scenario), nuclear)
     write_csv(rep.traj_super, out / "super_trajectory.csv", p_super.m, _stamp(scenario), nuclear)
     lines = [_stamp(scenario)] + rep.summary_lines()
@@ -182,7 +181,7 @@ def cmd_compare(args) -> int:
 def cmd_eigen(args) -> int:
     scenario = _load_scenario(args)
     out = _outdir(args)
-    mesh = build_mesh(scenario.dim, scenario.lengths, scenario.counts)
+    mesh = scenario.problem.mesh
     ep = principal_eigenpair(mesh, args.method)
     print(f"lambda1 = {ep.lambda1:.12g} ({args.method})")
     path = out / "eigenfunction.csv"
@@ -204,7 +203,7 @@ def cmd_eigen(args) -> int:
 def cmd_bound(args) -> int:
     scenario = _load_scenario(args)
     problem, _ = build_problem(scenario)
-    F = scenario.reaction
+    F = problem.reaction
     u0_sup = float(sum(np.max(np.abs(problem.initial[k])) for k in range(problem.m)))
     t0 = local_existence_horizon(u0_sup, F)
     print(f"sup norm of the initial data (summed over components): {u0_sup:.6g}")

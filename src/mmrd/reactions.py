@@ -51,15 +51,6 @@ class Reaction:
     b: float = 0.0
     fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
-    def to_dict(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "p": self.p}
-        if self.kind == "nuclear":
-            return {"kind": "nuclear", "a": self.a, "b": self.b}
-        if self.kind == "zero":
-            return {"kind": "zero"}
-        raise ConfigurationError("custom reactions are not serializable")
-
 
 def zero_reaction(m: int = 1) -> Reaction:
     return Reaction("zero", m)

@@ -1,10 +1,25 @@
 """Scenario files: strict JSON schema, presets and problem builders.
 
-A scenario fully describes one run: domain block, one entry per component
-(diffusion coefficient, interior and boundary graphs, initial data
-spec), reaction block, time block, and an optional pair block for
-comparison runs.  Parsing is strict: unknown keys are rejected and every
-error message carries the JSON path of the offending field.
+A scenario is its canonical JSON: the object with every key the schema
+knows, every default filled in and every number as the run reads it.
+``scenario_from_dict`` checks a scenario object against the schema and
+keeps that canonical dict in ``Scenario.data``, next to the ``ProblemSpec``
+and ``TimeControl`` built from it; ``scenario_to_dict`` returns a copy, and
+parsing it again gives the same scenario.  A scenario has a domain block,
+one entry per component (diffusion coefficient, interior and boundary
+graphs, initial data), a reaction block, a time block, and an optional pair
+block naming the second problem of a comparison run.
+
+Each section's fields are written down once:
+
+* graphs: ``graphs.KINDS``, params by JSON name with their defaults;
+* initial data: ``_INITIAL``, each kind's fields and the field it builds;
+* reactions: ``_REACTIONS``, each kind's params and constructor;
+* the time block: the fields of ``TimeControl``, with its defaults.
+
+Graphs, initial data and reactions are "kind + params" objects, read by
+one check.  Parsing is strict: unknown keys are rejected and every error
+message carries the JSON path of the offending field.
 
 Presets expand to fully explicit scenarios for the problem families studied
 here: the scalar power-reaction problem under Dirichlet / power-law /
@@ -14,23 +29,23 @@ coupled system with Dirichlet, power-law or obstacle-truncated settings.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .graphs import KINDS, MonotoneGraph
 from .mesh import Mesh, build_mesh
-from .reactions import Reaction, nuclear_reaction, power_reaction, zero_reaction
+from .reactions import nuclear_reaction, power_reaction, zero_reaction
 from .spectral import principal_eigenpair
 from .stepper import ProblemSpec, TimeControl
 
 __all__ = [
     "Scenario",
-    "PairSpec",
-    "InitialSpec",
-    "ComponentSpec",
     "parse_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -41,67 +56,58 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class InitialSpec:
-    kind: str  # "constant" | "eigen_multiple" | "bump"
-    value: float = 0.0
-    c: float = 0.0
-    center: tuple[float, ...] = ()
-    width: tuple[float, ...] = ()
-    height: float = 0.0
-
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.value}
-        if self.kind == "eigen_multiple":
-            return {"kind": "eigen_multiple", "c": self.c}
-        return {
-            "kind": "bump",
-            "center": list(self.center),
-            "width": list(self.width),
-            "height": self.height,
-        }
-
-
-@dataclass(frozen=True)
-class ComponentSpec:
-    diffusion: float
-    interior_graph: MonotoneGraph
-    boundary_graph: MonotoneGraph
-    initial: InitialSpec
-
-    def to_dict(self) -> dict:
-        return {
-            "diffusion": self.diffusion,
-            "interior_graph": self.interior_graph.to_dict(),
-            "boundary_graph": self.boundary_graph.to_dict(),
-            "initial": self.initial.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class PairSpec:
-    scenario: "Scenario"
-    override_a3: bool = False
-    override_a4: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": scenario_to_dict(self.scenario, include_pair=False),
-            "override_a3": self.override_a3,
-            "override_a4": self.override_a4,
-        }
-
-
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    dim: int
-    lengths: tuple[float, ...]
-    counts: tuple[int, ...]
-    components: tuple[ComponentSpec, ...]
-    reaction: Reaction
+    """A scenario as its canonical JSON ``data`` (see module docstring), the
+    ``problem`` and ``time`` control built from it, and ``pair``, the second
+    scenario of its pair block, if it has one."""
+
+    data: dict
+    problem: ProblemSpec
     time: TimeControl
-    pair: PairSpec | None = None
+    pair: Scenario | None = None
+
+
+# ---------------------------------------------------------------------------
+# the schema
+# ---------------------------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    params: dict  # JSON name -> default; None for a required number, _AXES for one per axis
+    build: Callable
+
+
+_AXES = "one number per axis"
+
+
+def _bump(mesh: Mesh, center, width, height) -> np.ndarray:
+    if any(w <= 0 for w in width):
+        raise ConfigurationError("width: must be > 0")
+    prof = np.ones(mesh.shape)
+    with np.errstate(over="ignore"):  # only in the far tails, where exp gives 0
+        for axis in range(mesh.dim):
+            x = mesh.coords[axis] if mesh.dim > 1 else mesh.axes[0]
+            prof = prof * np.exp(-0.5 * ((x - center[axis]) / width[axis]) ** 2)
+    return height * prof
+
+
+# initial kinds: their fields, and the field they give on a mesh
+_INITIAL = {
+    "constant": _Row({"value": None}, lambda mesh, value: np.full(mesh.shape, value)),
+    "eigen_multiple": _Row({"c": None},
+                           lambda mesh, c: c * principal_eigenpair(mesh, "analytic").phi1),
+    "bump": _Row({"center": _AXES, "width": _AXES, "height": None}, _bump),
+}
+
+# reaction kinds: their params, and the reaction for m components
+_REACTIONS = {
+    "zero": _Row({}, zero_reaction),
+    "power": _Row({"p": None}, lambda m, p: power_reaction(p)),
+    "nuclear": _Row({"a": None, "b": None}, lambda m, a, b: nuclear_reaction(a, b)),
+}
+
+_TIME = {f.name: None if f.default is dataclasses.MISSING else f.default
+         for f in dataclasses.fields(TimeControl)}
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +126,13 @@ def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple
             raise ConfigurationError(f"{path}.{key}: missing required key")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_number(v, path: str) -> float:
     """v as a float; a JSON number only, not a bool, a string or null."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigurationError(f"{path}: expected a number, got {v!r}")
     try:
         return float(v)
@@ -138,157 +148,141 @@ def _as_integer(v, path: str) -> int:
     return int(x)
 
 
-def _number(obj: dict, key: str, path: str, default=None) -> float:
-    if key not in obj:
-        if default is None:
-            raise ConfigurationError(f"{path}.{key}: missing required key")
-        return default
-    return _as_number(obj[key], f"{path}.{key}")
+def _per_axis(v, path: str, dim: int, read=_as_number) -> list:
+    """v as a list of ``dim`` values, each read by ``read``."""
+    if not isinstance(v, (list, tuple)) or len(v) != dim:
+        raise ConfigurationError(f"{path}: expected {dim} value(s)")
+    return [read(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
 
-def _parse_graph(obj: dict, path: str) -> MonotoneGraph:
-    _check_keys(obj, path, ("kind",), tuple(k for spec in KINDS.values() for k in spec.params))
+def _fields(obj: dict, path: str, params: dict, dim: int = 1, required=()) -> dict:
+    """The number fields ``params`` lists (JSON name -> default, as in
+    ``_Row.params``), in its order; a field marked _AXES may give its one
+    number for a 1D domain without the list.  ``required`` names other keys
+    that ``obj`` must have, which the caller reads."""
+    _check_keys(obj, path, (*required, *(k for k, d in params.items() if d in (None, _AXES))),
+                tuple(params))
+    out = {}
+    for key, default in params.items():
+        v = obj.get(key, default)
+        if default is _AXES:
+            out[key] = _per_axis([v] if _is_number(v) else v, f"{path}.{key}", dim)
+        else:
+            out[key] = _as_number(v, f"{path}.{key}")
+    return out
+
+
+def _kind_params(obj: dict, path: str, what: str, table: dict, dim: int = 1) -> dict:
+    """A "kind + params" object in canonical form: its kind, a row of
+    ``table``, then that row's params (see ``_fields``)."""
+    _check_keys(obj, path, ("kind",), tuple(k for row in table.values() for k in row.params))
     kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ConfigurationError(f"{path}.kind: unknown graph kind {kind!r}")
-    defaults = KINDS[kind].params
-    _check_keys(obj, path, ("kind",), tuple(defaults))
-    params = tuple(_number(obj, key, path, default) for key, default in defaults.items())
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigurationError(f"{path}.kind: unknown {what} kind {kind!r}")
+    return {"kind": kind, **_fields(obj, path, table[kind].params, dim, ("kind",))}
+
+
+def _prefixed(prefix: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), with ``prefix`` put before the message of a
+    ConfigurationError it raises."""
     try:
-        return MonotoneGraph(kind, params)
-    except ConfigurationError as exc:  # its message starts with the param at fault
-        raise ConfigurationError(f"{path}.{exc}") from None
-
-
-def _parse_initial(obj: dict, path: str, dim: int) -> InitialSpec:
-    _check_keys(obj, path, ("kind",), ("value", "c", "center", "width", "height"))
-    kind = obj.get("kind")
-    if kind == "constant":
-        _check_keys(obj, path, ("kind", "value"))
-        return InitialSpec("constant", value=_number(obj, "value", path))
-    if kind == "eigen_multiple":
-        _check_keys(obj, path, ("kind", "c"))
-        return InitialSpec("eigen_multiple", c=_number(obj, "c", path))
-    if kind == "bump":
-        _check_keys(obj, path, ("kind", "center", "width", "height"))
-
-        def axis_tuple(key):
-            v = obj[key]
-            vals = [v] if isinstance(v, (int, float)) and not isinstance(v, bool) else v
-            if not isinstance(vals, (list, tuple)) or len(vals) != dim:
-                raise ConfigurationError(f"{path}.{key}: expected {dim} value(s)")
-            return tuple(_as_number(x, f"{path}.{key}[{i}]") for i, x in enumerate(vals))
-
-        center = axis_tuple("center")
-        width = axis_tuple("width")
-        if any(w <= 0 for w in width):
-            raise ConfigurationError(f"{path}.width: must be > 0")
-        return InitialSpec("bump", center=center, width=width, height=_number(obj, "height", path))
-    raise ConfigurationError(f"{path}.kind: unknown initial kind {kind!r}")
-
-
-def _parse_reaction(obj: dict, path: str, m: int) -> Reaction:
-    _check_keys(obj, path, ("kind",), ("p", "a", "b"))
-    kind = obj.get("kind")
-    try:
-        if kind == "zero":
-            _check_keys(obj, path, ("kind",))
-            return zero_reaction(m)
-        if kind == "power":
-            _check_keys(obj, path, ("kind", "p"))
-            if m != 1:
-                raise ConfigurationError(f"{path}: power reaction needs exactly 1 component, got {m}")
-            return power_reaction(_number(obj, "p", path))
-        if kind == "nuclear":
-            _check_keys(obj, path, ("kind", "a", "b"))
-            if m != 2:
-                raise ConfigurationError(f"{path}: nuclear reaction needs exactly 2 components, got {m}")
-            return nuclear_reaction(_number(obj, "a", path), _number(obj, "b", path))
+        return build(*args, **kwargs)
     except ConfigurationError as exc:
-        if str(exc).startswith(path):
-            raise
-        raise ConfigurationError(f"{path}: {exc}") from None
-    raise ConfigurationError(f"{path}.kind: unknown reaction kind {kind!r}")
-
-
-def _parse_time(obj: dict, path: str) -> TimeControl:
-    _check_keys(obj, path, ("t_end",), ("dt_init", "dt_min", "blowup_threshold", "safety"))
-    try:
-        return TimeControl(
-            t_end=_number(obj, "t_end", path),
-            dt_init=_number(obj, "dt_init", path, 1e-3),
-            dt_min=_number(obj, "dt_min", path, 1e-10),
-            blowup_threshold=_number(obj, "blowup_threshold", path, 1e8),
-            safety=_number(obj, "safety", path, 0.1),
-        )
-    except ConfigurationError as exc:
-        if str(exc).startswith(path):
-            raise
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise ConfigurationError(f"{prefix}{exc}") from None
 
 
 def scenario_from_dict(obj: dict, path: str = "scenario", allow_pair: bool = True) -> Scenario:
+    """Check a scenario object against the schema and build it.  Every
+    error message starts with the JSON path at fault, under ``path``; with
+    ``allow_pair`` false a pair block is an unknown key."""
     optional = ("name", "pair") if allow_pair else ("name",)
     _check_keys(obj, path, ("domain", "components", "reaction", "time"), optional)
 
     dom = obj["domain"]
     _check_keys(dom, f"{path}.domain", ("dim", "lengths", "counts"))
-    dim = dom["dim"]
+    dim = _as_integer(dom["dim"], f"{path}.domain.dim")
     if dim not in (1, 2):
-        raise ConfigurationError(f"{path}.domain.dim: must be 1 or 2, got {dim!r}")
-    for key in ("lengths", "counts"):
-        if not isinstance(dom[key], (list, tuple)) or len(dom[key]) != dim:
-            raise ConfigurationError(f"{path}.domain.{key}: expected {dim} value(s)")
-    lengths = tuple(_as_number(v, f"{path}.domain.lengths[{i}]") for i, v in enumerate(dom["lengths"]))
-    counts = tuple(_as_integer(v, f"{path}.domain.counts[{i}]") for i, v in enumerate(dom["counts"]))
+        raise ConfigurationError(f"{path}.domain.dim: must be 1 or 2, got {dom['dim']!r}")
+    lengths = _per_axis(dom["lengths"], f"{path}.domain.lengths", dim)
+    counts = _per_axis(dom["counts"], f"{path}.domain.counts", dim, _as_integer)
     if not all(0 < v < np.inf for v in lengths):
         raise ConfigurationError(f"{path}.domain.lengths: must be finite and > 0")
+    # so that 1/h**2 and lambda1 = sum (pi/L)**2 stay far inside the float range
+    if not all(1e-100 <= v <= 1e100 for v in lengths):
+        raise ConfigurationError(f"{path}.domain.lengths: must lie in [1e-100, 1e100]")
     if any(n < 3 for n in counts):
         raise ConfigurationError(f"{path}.domain.counts: must be >= 3")
+    mesh = build_mesh(dim, lengths, counts)
 
+    # graphs and initial data are built as they are read: a graph's or a
+    # bump's error names the param at fault, after the object's path
     comps_obj = obj["components"]
     if not isinstance(comps_obj, list) or not comps_obj:
         raise ConfigurationError(f"{path}.components: expected a non-empty array")
-    comps = []
+    components, graphs, initial = [], {"interior_graph": [], "boundary_graph": []}, []
     for i, cobj in enumerate(comps_obj):
         cpath = f"{path}.components[{i}]"
         _check_keys(cobj, cpath, ("diffusion", "interior_graph", "boundary_graph", "initial"))
-        diffusion = _number(cobj, "diffusion", cpath)
-        if diffusion <= 0:
-            raise ConfigurationError(f"{cpath}.diffusion: must be > 0, got {diffusion}")
-        comps.append(
-            ComponentSpec(
-                diffusion,
-                _parse_graph(cobj["interior_graph"], f"{cpath}.interior_graph"),
-                _parse_graph(cobj["boundary_graph"], f"{cpath}.boundary_graph"),
-                _parse_initial(cobj["initial"], f"{cpath}.initial", dim),
-            )
-        )
+        comp = {"diffusion": _as_number(cobj["diffusion"], f"{cpath}.diffusion")}
+        if comp["diffusion"] <= 0:
+            raise ConfigurationError(f"{cpath}.diffusion: must be > 0, got {comp['diffusion']}")
+        for key, built in graphs.items():
+            comp[key] = _kind_params(cobj[key], f"{cpath}.{key}", "graph", KINDS)
+            kind, *params = comp[key].values()
+            built.append(_prefixed(f"{cpath}.{key}.", MonotoneGraph, kind, tuple(params)))
+        comp["initial"] = _kind_params(cobj["initial"], f"{cpath}.initial", "initial", _INITIAL, dim)
+        kind, *params = comp["initial"].values()
+        initial.append(_prefixed(f"{cpath}.initial.", _INITIAL[kind].build, mesh, *params))
+        components.append(comp)
 
-    reaction = _parse_reaction(obj["reaction"], f"{path}.reaction", len(comps))
-    time = _parse_time(obj["time"], f"{path}.time")
+    rpath = f"{path}.reaction"
+    reaction = _kind_params(obj["reaction"], rpath, "reaction", _REACTIONS)
+    kind, *params = reaction.values()
+    F = _prefixed(f"{rpath}: ", _REACTIONS[kind].build, len(components), *params)
+    if F.m != len(components):
+        raise ConfigurationError(f"{rpath}: {kind} reaction needs exactly {F.m} "
+                                 f"component{'s' * (F.m > 1)}, got {len(components)}")
 
-    pair = None
-    if allow_pair and "pair" in obj:
-        pobj = obj["pair"]
-        _check_keys(pobj, f"{path}.pair", (), ("scenario", "preset", "params", "override_a3", "override_a4"))
-        if ("scenario" in pobj) == ("preset" in pobj):
-            raise ConfigurationError(
-                f"{path}.pair: exactly one of 'scenario' and 'preset' is required"
-            )
-        if "scenario" in pobj:
-            second = scenario_from_dict(pobj["scenario"], f"{path}.pair.scenario", allow_pair=False)
-        else:
-            second = make_preset(pobj["preset"], **pobj.get("params", {}))
-        for flag in ("override_a3", "override_a4"):
-            if flag in pobj and not isinstance(pobj[flag], bool):
-                raise ConfigurationError(f"{path}.pair.{flag}: expected a boolean")
-        pair = PairSpec(second, pobj.get("override_a3", False), pobj.get("override_a4", False))
+    time = _fields(obj["time"], f"{path}.time", _TIME)
+    tc = _prefixed(f"{path}.time: ", TimeControl, **time)
 
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ConfigurationError(f"{path}.name: expected a string")
-    return Scenario(name, dim, lengths, counts, tuple(comps), reaction, time, pair)
+    data = {
+        "name": name,
+        "domain": {"dim": dim, "lengths": lengths, "counts": counts},
+        "components": components,
+        "reaction": reaction,
+        "time": time,
+    }
+
+    pair = None
+    if "pair" in obj:
+        ppath = f"{path}.pair"
+        pobj = obj["pair"]
+        _check_keys(pobj, ppath, (), ("scenario", "preset", "params", "override_a3", "override_a4"))
+        if ("scenario" in pobj) == ("preset" in pobj):
+            raise ConfigurationError(f"{ppath}: exactly one of 'scenario' and 'preset' is required")
+        if "scenario" in pobj:
+            pair = scenario_from_dict(pobj["scenario"], f"{ppath}.scenario", allow_pair=False)
+        else:
+            params = pobj.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigurationError(f"{ppath}.params: expected an object")
+            pair = make_preset(pobj["preset"], **params)
+        flags = {flag: pobj.get(flag, False) for flag in ("override_a3", "override_a4")}
+        for flag, v in flags.items():
+            if not isinstance(v, bool):
+                raise ConfigurationError(f"{ppath}.{flag}: expected a boolean")
+        # a pair preset named as the second problem keeps no pair of its own
+        second = {k: v for k, v in pair.data.items() if k != "pair"}
+        data["pair"] = {"scenario": second, **flags}
+
+    problem = ProblemSpec(mesh, tuple(c["diffusion"] for c in components), F,
+                          tuple(graphs["interior_graph"]), tuple(graphs["boundary_graph"]),
+                          np.stack(initial))
+    return Scenario(data, problem, tc, pair)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -300,55 +294,14 @@ def parse_scenario(text: str) -> Scenario:
     return scenario_from_dict(obj)
 
 
-def scenario_to_dict(s: Scenario, include_pair: bool = True) -> dict:
-    out = {
-        "name": s.name,
-        "domain": {"dim": s.dim, "lengths": list(s.lengths), "counts": list(s.counts)},
-        "components": [c.to_dict() for c in s.components],
-        "reaction": s.reaction.to_dict(),
-        "time": {
-            "t_end": s.time.t_end,
-            "dt_init": s.time.dt_init,
-            "dt_min": s.time.dt_min,
-            "blowup_threshold": s.time.blowup_threshold,
-            "safety": s.time.safety,
-        },
-    }
-    if include_pair and s.pair is not None:
-        out["pair"] = s.pair.to_dict()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# building runnable problems
-# ---------------------------------------------------------------------------
-
-
-def _initial_field(mesh: Mesh, spec: InitialSpec) -> np.ndarray:
-    if spec.kind == "constant":
-        return np.full(mesh.shape, spec.value)
-    if spec.kind == "eigen_multiple":
-        return spec.c * principal_eigenpair(mesh, "analytic").phi1
-    prof = np.ones(mesh.shape)
-    for axis in range(mesh.dim):
-        x = mesh.coords[axis] if mesh.dim > 1 else mesh.axes[0]
-        prof = prof * np.exp(-0.5 * ((x - spec.center[axis]) / spec.width[axis]) ** 2)
-    return spec.height * prof
+def scenario_to_dict(s: Scenario) -> dict:
+    """The scenario's canonical JSON (a copy)."""
+    return copy.deepcopy(s.data)
 
 
 def build_problem(s: Scenario) -> tuple[ProblemSpec, TimeControl]:
-    """Expand a scenario into a runnable (ProblemSpec, TimeControl)."""
-    mesh = build_mesh(s.dim, s.lengths, s.counts)
-    initial = np.stack([_initial_field(mesh, c.initial) for c in s.components])
-    problem = ProblemSpec(
-        mesh,
-        tuple(c.diffusion for c in s.components),
-        s.reaction,
-        tuple(c.interior_graph for c in s.components),
-        tuple(c.boundary_graph for c in s.components),
-        initial,
-    )
-    return problem, s.time
+    """The runnable (ProblemSpec, TimeControl) of a scenario, built when it was parsed."""
+    return s.problem, s.time
 
 
 # ---------------------------------------------------------------------------
@@ -362,88 +315,28 @@ def _power_boundary(alpha: float, q: float) -> dict:
     return {"kind": "extended_power", "alpha": alpha, "q": q}
 
 
-def _scalar_preset(name, boundary, p, initial, n, t_end, blowup_threshold, safety):
-    return {
-        "name": name,
-        "domain": {"dim": 1, "lengths": [1.0], "counts": [n]},
-        "components": [
-            {
-                "diffusion": 1.0,
-                "interior_graph": {"kind": "zero"},
-                "boundary_graph": boundary,
-                "initial": initial,
-            }
-        ],
-        "reaction": {"kind": "power", "p": p},
-        "time": {
-            "t_end": t_end,
-            "dt_init": 1e-3,
-            "dt_min": 1e-10,
-            "blowup_threshold": blowup_threshold,
-            "safety": safety,
-        },
-    }
-
-
-def _nr_preset(name, boundaries, interiors, a, b, u10, u20, n, t_end, blowup_threshold, safety):
-    return {
-        "name": name,
-        "domain": {"dim": 1, "lengths": [1.0], "counts": [n]},
-        "components": [
-            {
-                "diffusion": 1.0,
-                "interior_graph": interiors[0],
-                "boundary_graph": boundaries[0],
-                "initial": u10,
-            },
-            {
-                "diffusion": 1.0,
-                "interior_graph": interiors[1],
-                "boundary_graph": boundaries[1],
-                "initial": u20,
-            },
-        ],
-        "reaction": {"kind": "nuclear", "a": a, "b": b},
-        "time": {
-            "t_end": t_end,
-            "dt_init": 1e-3,
-            "dt_min": 1e-10,
-            "blowup_threshold": blowup_threshold,
-            "safety": safety,
-        },
-    }
-
-
-def _build_preset(name: str, **kw) -> dict:
+def _build_preset(name: str, /, **kw) -> dict:
     """Raw scenario dict for a named preset; keyword arguments override the
     desk-scale defaults (p, alpha, q, c, a, b, n, t_end, ...)."""
+    if name not in PRESET_NAMES:
+        raise ConfigurationError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     n = _as_integer(kw.pop("n", 101), f"preset:{name}.n")
-    t_end = kw.pop("t_end", 1.0)
-    B = kw.pop("blowup_threshold", 1e3)
-    safety = kw.pop("safety", 0.1)
+    time = {"t_end": kw.pop("t_end", 1.0), "blowup_threshold": kw.pop("blowup_threshold", 1e3)}
+    if "safety" in kw:  # else TimeControl's default, as for dt_init and dt_min
+        time["safety"] = kw.pop("safety")
 
-    if name in ("Pp_dirichlet", "Pp_neumann", "Pp_power", "PF_power"):
-        p = kw.pop("p", 3.0)
-        alpha = kw.pop("alpha", 1.0)
-        q = kw.pop("q", 2.5)
-        if name == "PF_power":
-            initial = {
-                "kind": "bump",
-                "center": [kw.pop("center", 0.5)],
-                "width": [kw.pop("width", 0.1)],
-                "height": kw.pop("height", 20.0),
-            }
-        else:
-            initial = {"kind": "eigen_multiple", "c": kw.pop("c", 12.0)}
-        boundary = {
-            "Pp_dirichlet": {"kind": "dirichlet"},
-            "Pp_neumann": {"kind": "extended_neumann"},
-            "Pp_power": _power_boundary(alpha, q),
-            "PF_power": _power_boundary(alpha, q),
-        }[name]
-        if kw:
-            raise ConfigurationError(f"preset {name}: unknown parameters {sorted(kw)}")
-        return _scalar_preset(name, boundary, p, initial, n, t_end, B, safety)
+    pair_map = {
+        "Pp_pair_dirichlet_power": ("Pp_dirichlet", "Pp_power"),
+        "Pp_pair_power_neumann": ("Pp_power", "Pp_neumann"),
+        "NR_pair_dirichlet_power": ("NR_dirichlet", "NR"),
+    }
+    if name in pair_map:
+        sub_name, super_name = pair_map[name]
+        shared = dict(kw, n=n, **time)
+        base = _build_preset(sub_name, **shared)
+        base["pair"] = {"preset": super_name, "params": shared}
+        base["name"] = name
+        return base
 
     if name in ("NR", "NR_dirichlet", "NR_obstacle"):
         a = kw.pop("a", 1.0)
@@ -464,24 +357,41 @@ def _build_preset(name: str, **kw) -> dict:
             interiors = [{"kind": "obstacle", "level": level}] * 2
         else:
             interiors = [{"kind": "zero"}] * 2
-        if kw:
-            raise ConfigurationError(f"preset {name}: unknown parameters {sorted(kw)}")
-        return _nr_preset(name, boundaries, interiors, a, b, u10, u20, n, t_end, B, safety)
-
-    pair_map = {
-        "Pp_pair_dirichlet_power": ("Pp_dirichlet", "Pp_power"),
-        "Pp_pair_power_neumann": ("Pp_power", "Pp_neumann"),
-        "NR_pair_dirichlet_power": ("NR_dirichlet", "NR"),
+        initials = [u10, u20]
+        reaction = {"kind": "nuclear", "a": a, "b": b}
+    else:
+        p = kw.pop("p", 3.0)
+        alpha = kw.pop("alpha", 1.0)
+        q = kw.pop("q", 2.5)
+        if name == "PF_power":
+            initial = {
+                "kind": "bump",
+                "center": [kw.pop("center", 0.5)],
+                "width": [kw.pop("width", 0.1)],
+                "height": kw.pop("height", 20.0),
+            }
+        else:
+            initial = {"kind": "eigen_multiple", "c": kw.pop("c", 12.0)}
+        boundary = {
+            "Pp_dirichlet": {"kind": "dirichlet"},
+            "Pp_neumann": {"kind": "extended_neumann"},
+            "Pp_power": _power_boundary(alpha, q),
+            "PF_power": _power_boundary(alpha, q),
+        }[name]
+        interiors, boundaries, initials = [{"kind": "zero"}], [boundary], [initial]
+        reaction = {"kind": "power", "p": p}
+    if kw:
+        raise ConfigurationError(f"preset {name}: unknown parameters {sorted(kw)}")
+    return {
+        "name": name,
+        "domain": {"dim": 1, "lengths": [1.0], "counts": [n]},
+        "components": [
+            {"diffusion": 1.0, "interior_graph": i, "boundary_graph": b, "initial": u0}
+            for i, b, u0 in zip(interiors, boundaries, initials)
+        ],
+        "reaction": reaction,
+        "time": time,
     }
-    if name in pair_map:
-        sub_name, super_name = pair_map[name]
-        shared = dict(kw, n=n, t_end=t_end, blowup_threshold=B, safety=safety)
-        base = _build_preset(sub_name, **shared)
-        base["pair"] = {"preset": super_name, "params": shared}
-        base["name"] = name
-        return base
-
-    raise ConfigurationError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
 
 
 PRESET_NAMES = (
@@ -498,6 +408,6 @@ PRESET_NAMES = (
 )
 
 
-def make_preset(name: str, **params) -> Scenario:
+def make_preset(name: str, /, **params) -> Scenario:
     """Expand a preset (with optional parameter overrides) into a validated Scenario."""
     return scenario_from_dict(_build_preset(name, **params), f"preset:{name}")

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmrd.cli import main
 from mmrd.errors import ConfigurationError
@@ -15,6 +17,7 @@ from mmrd.scenarios import (
     build_problem,
     make_preset,
     parse_scenario,
+    scenario_from_dict,
     scenario_to_dict,
 )
 
@@ -89,6 +92,18 @@ def test_parse_rejects_bad_exponent_with_path():
             parse_scenario(json.dumps(bad))
 
 
+def test_parse_reads_dim_as_an_integer():
+    # "dim": 1.0 runs like 1, as a count of 11.0 runs like 11
+    obj = json.loads(json.dumps(BASE))
+    obj["components"][0]["initial"] = {"kind": "bump", "center": 0.5, "width": 0.1, "height": 3.0}
+    s1 = parse_scenario(json.dumps(obj))
+    obj["domain"]["dim"] = 1.0
+    s2 = parse_scenario(json.dumps(obj))
+    assert type(scenario_to_dict(s2)["domain"]["dim"]) is int
+    assert scenario_to_dict(s2) == scenario_to_dict(s1)
+    np.testing.assert_array_equal(build_problem(s2)[0].initial, build_problem(s1)[0].initial)
+
+
 def test_parse_rejects_component_count_mismatch():
     bad = json.loads(json.dumps(BASE))
     bad["reaction"] = {"kind": "nuclear", "a": 1.0, "b": 1.0}
@@ -97,9 +112,11 @@ def test_parse_rejects_component_count_mismatch():
 
 
 def test_parse_initial_kinds():
+    # a bump narrower than the mesh overflows nothing: its tails are 0
     for init in (
         {"kind": "constant", "value": 2.0},
         {"kind": "bump", "center": 0.5, "width": 0.1, "height": 3.0},
+        {"kind": "bump", "center": 0.5, "width": 1e-200, "height": 3.0},
     ):
         obj = json.loads(json.dumps(BASE))
         obj["components"][0]["initial"] = init
@@ -118,14 +135,14 @@ def test_presets_expand_deterministically_and_validate():
 
 def test_preset_dirichlet_boundary():
     s = make_preset("Pp_dirichlet", p=3.0)
-    assert s.components[0].boundary_graph.kind == "dirichlet"
-    assert s.reaction.kind == "power" and s.reaction.p == 3.0
+    assert s.problem.boundary[0].kind == "dirichlet"
+    assert s.problem.reaction.kind == "power" and s.problem.reaction.p == 3.0
 
 
 def test_preset_nr_alpha_zero_gives_neumann():
     s = make_preset("NR", alpha1=0.0, alpha2=0.0)
-    assert s.components[0].boundary_graph.kind == "extended_neumann"
-    assert s.components[1].boundary_graph.kind == "extended_neumann"
+    assert s.problem.boundary[0].kind == "extended_neumann"
+    assert s.problem.boundary[1].kind == "extended_neumann"
 
 
 def test_preset_unknown_parameter_rejected():
@@ -293,7 +310,7 @@ def test_cli_config_error_exit_1(tmp_path):
 
 
 # (domain key, its bad value, the error's JSON path): not a number, null, a
-# bool, a fraction where an integer is due, not finite
+# bool, a fraction where an integer is due, not finite, far from 1
 BAD_DOMAINS = {
     "counts_string": ("counts", ["a"], "scenario.domain.counts[0]"),
     "counts_fraction": ("counts", [3.9], "scenario.domain.counts[0]"),
@@ -302,17 +319,30 @@ BAD_DOMAINS = {
     "lengths_null": ("lengths", [None], "scenario.domain.lengths[0]"),
     "lengths_bool": ("lengths", [True], "scenario.domain.lengths[0]"),
     "lengths_nan": ("lengths", [float("nan")], "scenario.domain.lengths"),
+    "lengths_tiny": ("lengths", [1e-200], "scenario.domain.lengths"),
+    "lengths_huge": ("lengths", [1e200], "scenario.domain.lengths"),
+    "dim_bool": ("dim", True, "scenario.domain.dim"),
+}
+# (pair block, the error's JSON path, or just "configuration error" where the
+# message names the value): params that are not an object, and a preset name
+# that is not a string
+BAD_PAIRS = {
+    "pair_params_list": ({"preset": "Pp_power", "params": [1]}, "scenario.pair.params"),
+    "pair_params_null": ({"preset": "Pp_power", "params": None}, "scenario.pair.params"),
+    "pair_preset_list": ({"preset": ["Pp_power"]}, "configuration error"),
+    "pair_preset_object": ({"preset": {}}, "configuration error"),
 }
 BAD_PRESET_PARAMS = {
     "preset_n_string": ("Pp_power", '{"n": "a"}', "preset:Pp_power.n"),
     "preset_n_null": ("Pp_power", '{"n": null}', "preset:Pp_power.n"),
     "preset_n_fraction": ("Pp_power", '{"n": 21.7}', "preset:Pp_power.n"),
     "preset_u10_string": ("NR_obstacle", '{"u10": "a", "level": 3}', "preset:NR_obstacle.u10"),
+    "preset_name_param": ("Pp_power", '{"name": "a"}', "preset Pp_power"),
 }
 
 
 @pytest.mark.parametrize("bad", ["scenario_dir", "scenario_not_utf8", "run_out_file", "eigen_out_file",
-                                 *BAD_DOMAINS, *BAD_PRESET_PARAMS])
+                                 *BAD_DOMAINS, *BAD_PAIRS, *BAD_PRESET_PARAMS])
 def test_cli_bad_files_exit_1(tmp_path, capsys, bad):
     not_utf8 = tmp_path / "bad.json"
     not_utf8.write_bytes(b"\xff\xfe")
@@ -326,10 +356,13 @@ def test_cli_bad_files_exit_1(tmp_path, capsys, bad):
         "eigen_out_file": ["eigen", *preset, "--out", str(a_file)],
     }.get(bad)
     where = "configuration error"
-    if bad in BAD_DOMAINS:
-        key, value, where = BAD_DOMAINS[bad]
+    if bad in BAD_DOMAINS or bad in BAD_PAIRS:
         obj = json.loads(json.dumps(BASE))
-        obj["domain"][key] = value
+        if bad in BAD_DOMAINS:
+            key, value, where = BAD_DOMAINS[bad]
+            obj["domain"][key] = value
+        else:
+            obj["pair"], where = BAD_PAIRS[bad]
         scen = tmp_path / "scenario.json"
         scen.write_text(json.dumps(obj), encoding="utf-8")
         argv = ["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]
@@ -385,3 +418,54 @@ def test_cli_compare_overflowing_box_ends_in_collapse(tmp_path):
     assert code == 5
     report = (out / "compare_report.txt").read_text()
     assert "L_M = inf" in report and "overflowed to inf" in report
+
+
+def _nodes(obj, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+# two scenarios with a pair block: a pair preset's canonical form (the pair
+# as a scenario, with its override flags), and a bump initial datum paired
+# with a preset and its params
+FUZZ_BASES = [
+    scenario_to_dict(make_preset("Pp_pair_power_neumann", n=11)),
+    dict(scenario_to_dict(make_preset("PF_power", n=11)),
+         pair={"preset": "PF_power", "params": {"n": 11, "alpha": 0.0}}),
+]
+# short strings, and the schema's own names, which reach deeper checks
+_STRINGS = st.sampled_from(["", "kind", "zero", "power", "bump", "n", "name", "Pp_power", "NR"]) | st.text(max_size=3)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 40) | st.floats(-1e3, 1e3) | _STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_STRINGS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_scenario_parser_round_trips_or_rejects(data):
+    # one node of a scenario replaced by a small JSON value, or deleted: the
+    # result parses, builds and round-trips through JSON exactly, or it is a
+    # configuration error; never another exception
+    holder = {"root": json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))}
+    path = data.draw(st.sampled_from(list(_nodes(holder))[1:]))
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    if len(path) > 1 and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        s = scenario_from_dict(holder["root"])
+        build_problem(s)
+    except ConfigurationError:
+        return
+    canonical = scenario_to_dict(s)
+    text = json.dumps(canonical)
+    assert json.loads(text) == canonical
+    assert scenario_to_dict(parse_scenario(text)) == canonical
