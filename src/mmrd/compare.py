@@ -235,21 +235,21 @@ def run_pair(
     P2: ProblemSpec,
     tc: TimeControl,
     assumptions: AssumptionReport | None = None,
-    a3_apriori: bool = False,
-    a4_apriori: bool = False,
     observer=None,
 ) -> ComparisonReport:
     """Co-evolve (P1 sub, P2 super) on a shared adaptive time grid.
 
     Requires the assumption report to pass (or the failing hypotheses to be
-    overridden a priori).  Both problems advance with the pairwise minimum
-    of their adaptive step proposals so every sample is taken at identical
-    times.  Each run is classified as ``stepper.run`` would classify it,
-    and both stop at t_end or at the first sample where either blows up or
-    fails.  ``observer`` (as in ``stepper.run``) is applied to both runs.
+    overridden a priori, by ``check_assumptions``); by default it is
+    ``check_assumptions(P1, P2)``.  Both problems advance with the pairwise
+    minimum of their adaptive step proposals so every sample is taken at
+    identical times.  Each run is classified as ``stepper.run`` would
+    classify it, and both stop at t_end or at the first sample where either
+    blows up or fails.  ``observer`` (as in ``stepper.run``) is applied to
+    both runs.
     """
     if assumptions is None:
-        assumptions = check_assumptions(P1, P2, a3_apriori=a3_apriori, a4_apriori=a4_apriori)
+        assumptions = check_assumptions(P1, P2)
     if not assumptions.passed:
         raise ConfigurationError(
             "assumption check failed; pass a-priori overrides to run regardless"
@@ -271,6 +271,7 @@ def run_pair(
     defects = np.asarray(defects)
 
     # Gronwall monitor from the earliest sample with positive energy
+    smax = float(max(traj1.sup_norms.max(initial=0.0), traj2.sup_norms.max(initial=0.0)))
     lm = assumptions.a4_sc.l_m if (assumptions.a4_sc and assumptions.a4_sc.ok) else None
     margins = np.full(len(times), -math.inf)
     start = None
@@ -278,10 +279,7 @@ def run_pair(
     if pos.size and lm is None:
         # a-priori override without a usable L_M: bound partials on the box
         # actually visited by the two runs
-        smax_box = float(max(traj1.sup_norms.max(initial=0.0), traj2.sup_norms.max(initial=0.0)))
-        lm = max(
-            lipschitz_bound(P1.reaction, smax_box), lipschitz_bound(P2.reaction, smax_box)
-        )
+        lm = max(lipschitz_bound(P1.reaction, smax), lipschitz_bound(P2.reaction, smax))
     if pos.size:
         i0 = int(pos[0])
         start = float(times[i0])
@@ -290,7 +288,6 @@ def run_pair(
             -2.0 * m * lm * (times[i0:] - start)
         ) - w_s
 
-    smax = float(max(traj1.sup_norms.max(initial=0.0), traj2.sup_norms.max(initial=0.0)))
     h2 = float(sum(h**2 for h in mesh.spacing))
     dtmax = float(dts.max(initial=0.0))
     tol_order = 1e-6 + 10.0 * (h2 + dtmax) * (1.0 + smax)

@@ -19,16 +19,18 @@ The central operation is the resolvent ``r -> x`` solving
 boundary graphs act on the same node).  Every built-in kind is a smooth odd
 part (zero, linear or power) plus the indicator of its domain, so any
 weighted sum of them is solved in closed form or by a safeguarded Newton
-iteration on the smooth part, then clipped to the common domain.  A single
-power exponent q = 2, 5/2 or 3 (5/2 is the boundary law of every power
-preset) has a closed-form root; other exponents iterate.
+iteration on the smooth part, then clipped to the common domain.  A power
+term with q = 2 is linear.  A single power term with q = 5/2 or 3 (5/2 is
+the boundary law of every power preset) has a closed-form root; any other
+power part, one term or several, takes one bracketed Newton iteration that
+stops at a relative tolerance.
 
-A ``ResolventPlan`` merges and splits one weighted sum once, with weights
-as multiples of a scale s, and gives the resolvent and its slope at any s
-by rescaling scalars only.  ``resolve_terms``/``resolvent_slope`` build
-one at s = 1 from the terms they are given, or take one already scaled:
-the implicit stepper builds one per node class and run, and passes it to
-them at the step's scale.
+A ``ResolventPlan`` merges and splits one weighted sum once and gives its
+resolvent and slope; ``plan.at(s)`` is the plan of the same sum with every
+weight multiplied by s, made by rescaling scalars only.
+``resolve_terms``/``resolvent_slope`` build a plan from the terms they are
+given, or take one: the implicit stepper builds one per node class and
+run, and passes it to them at the step's scale.
 """
 
 from __future__ import annotations
@@ -215,20 +217,14 @@ def eval_graph(G: MonotoneGraph, r: float) -> tuple[float, float] | None:
 def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
     """Solve xi + beta * xi^(q-1) = t for xi >= 0, elementwise (t >= 0).
 
-    q = 2, 5/2 and 3 have closed forms.  For q = 5/2, xi = t / W^2 where
+    q = 5/2 and 3 have closed forms.  For q = 5/2, xi = t / W^2 where
     W >= 1 is the largest root of the depressed cubic W^3 - W = beta*sqrt(t),
     given by Viete's trigonometric form (three real roots, x <= 1) or its
     hyperbolic form (one, x > 1); see Nickalls, Math. Gazette 77 (1993).
-    For other q >= 2 the map is convex with bounded slope near 0, so Newton
-    from min(t, (t / beta)^(1/(q-1))), above the root, converges
-    monotonically; for 1 < q < 2 the slope of
-    xi^(q-1) is unbounded at 0 and monotone bisection is used instead.  Both
-    stop on a step or bracket of BISECT_TOL relative to max(1, xi).
+    Other q go to ``_power_sum_root``.
     """
     if beta == 0.0:
         return t.copy()
-    if q == 2.0:
-        return t / (1.0 + beta)
     if q == 2.5:
         # x = (3 sqrt(3) / 2) beta sqrt(t) and W = (2 / sqrt(3)) w, with
         # w = cos(arccos(x) / 3) for x <= 1, cosh(arccosh(x) / 3) above
@@ -264,54 +260,36 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
             over = np.isinf(s) & np.isfinite(t)
             xi[over] = np.sqrt(t[over]) / math.sqrt(beta)
         return xi
-    if q > 2.0:
-        # start above the root, where beta * xi^(q-1) <= t; evaluated as
-        # (b xi)^(q-1) with b = beta^(1/(q-1)), it cannot overflow there
-        with np.errstate(over="ignore"):
-            xi = np.minimum(t, (t / beta) ** (1.0 / (q - 1.0)))
-        b = beta ** (1.0 / (q - 1.0))
-        for _ in range(60):
-            s = (b * xi) ** (q - 2.0)
-            f = xi + b * xi * s - t
-            xi_new = np.maximum(xi - f / (1.0 + (q - 1.0) * b * s), 0.0)
-            if (np.abs(xi_new - xi) <= BISECT_TOL * np.maximum(1.0, xi_new)).all():
-                return xi_new
-            xi = xi_new
-        return xi
-    lo = np.zeros_like(t)
-    hi = t.copy()
-    for _ in range(BISECT_MAX_ITER):
-        if (hi - lo <= BISECT_TOL * np.maximum(1.0, hi)).all():
-            break
-        mid = 0.5 * (lo + hi)
-        high = mid + beta * mid ** (q - 1.0) > t
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
+    return _power_sum_root(t, [(beta, q)])
 
 
 def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndarray:
     """Solve xi + sum_j beta_j * xi^(q_j-1) = t for xi >= 0, elementwise (t >= 0).
 
     Newton from xi = min(t, min_j (t / beta_j)^(1/(q_j-1))) inside the
-    bracket [0, xi], which holds the root; there no term exceeds t, so none
-    overflows.  A step that leaves the current bracket or lands on 0 (terms
-    with q < 2 have unbounded slope there) is replaced by bisection of the
-    bracket.
+    bracket [0, xi], which holds the root; there no term exceeds t.  A term
+    with q > 2 is evaluated as (b * xi)^(q-1), b = beta^(1/(q-1)), so that it
+    does not overflow where xi^(q-1) alone would (a tiny beta, xi near the
+    largest float).  A step that leaves the current bracket or lands on 0
+    (terms with q < 2 have unbounded slope there) is replaced by bisection
+    of the bracket.  Stops on a step of BISECT_TOL relative to xi.
     """
     lo = np.zeros_like(t)
     hi = t.copy()
     with np.errstate(over="ignore"):  # an overflowed candidate is not the min
         for beta, q in powers:
             hi = np.minimum(hi, (t / beta) ** (1.0 / (q - 1.0)))
+    # beta * xi^(q-1) as a * (b * xi)^e; b = 1 for q < 2, where beta^(1/(q-1)) may overflow
+    terms = [(1.0, beta ** (1.0 / (q - 1.0)), q - 1.0) if q > 2.0 else (beta, 1.0, q - 1.0)
+             for beta, q in powers]
     xi = hi.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(BISECT_MAX_ITER):
             f = xi - t
             df = np.ones_like(xi)
-            for beta, q in powers:
-                f += beta * xi ** (q - 1.0)
-                df += beta * (q - 1.0) * xi ** (q - 2.0)
+            for a, b, e in terms:
+                f += a * (b * xi) ** e
+                df += a * e * b * (b * xi) ** (e - 1.0)
             lo = np.where(f <= 0.0, xi, lo)
             hi = np.where(f >= 0.0, xi, hi)
             xi_new = xi - f / df
@@ -325,17 +303,28 @@ def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndar
 
 
 class ResolventPlan:
-    """The resolvent of x + s * sum_i w_i * gamma_i(x) ∋ r for one weighted
-    graph sum, merged and split once.
+    """The resolvent R of x + sum_i w_i * gamma_i(x) ∋ r for one weighted
+    graph sum, merged and split once; iterating the plan gives its terms
+    (w_i, gamma_i), so it can stand for them as the ``terms`` of
+    ``resolve_terms`` and ``resolvent_slope``, which then use it as it is.
 
-    The weights w_i are multiples of the scale s, so that ``at(s)`` gives
-    the resolvent at any s by rescaling scalars only.  The sum is split
-    into its common domain [lo, hi], its linear coefficient
-    sum_i w_i * slope_i and its power part {q: sum_i w_i * alpha_i}; a sum
-    with no term left after merging is the identity.
+    The sum is split into its common domain [lo, hi], its linear
+    coefficient ``linear`` = sum_i w_i * slope_i (a power term with q = 2
+    is linear), and its power part ``powers`` = {q: sum_i w_i * alpha_i}.
+    ``at(s)`` is the plan of the same sum with every weight multiplied by
+    s, made by rescaling these scalars only; a term whose weight s * w
+    rounds to 0 is absent there, as in ``_merge_terms``, but its domain
+    still bounds the others'.  A plan with no terms is the identity.
+
+    R(r) = clip(sign(r) * xi, lo, hi), xi the root of
+    c * xi + sum_q A_q * xi^(q-1) = |r|, c = 1 + linear.  Every finite
+    endpoint of [lo, hi] carries a vertical segment of some term, so
+    clipping the resolvent of the smooth sum is exact.  A power term whose
+    coefficient rounds to 0 is absent too: its value is then exactly 0 and
+    it would give 0 * inf in the slope at x = 0 when q < 2.
     """
 
-    __slots__ = ("terms", "mode", "lo", "hi", "linear", "powers")
+    __slots__ = ("terms", "lo", "hi", "linear", "powers", "key", "c", "roots", "slopes")
 
     def __init__(self, terms: Sequence[tuple[float, MonotoneGraph]]):
         self.terms = _merge_terms(terms)
@@ -343,58 +332,38 @@ class ResolventPlan:
         self.hi = min((G.domain_hi for _, G in self.terms), default=math.inf)
         if self.lo > self.hi:
             raise ConfigurationError("graphs with disjoint domains combined in one inclusion")
-        self.linear = 0.0
-        self.powers: dict[float, float] = {}
-        self.mode = "closed" if self.terms else "identity"
+        linear = 0.0
+        powers: dict[float, float] = {}
         for w, G in self.terms:
-            if G.kind == "linear":
-                self.linear += w * G.params[0]
-            elif G.kind in ("power", "extended_power") and w * G.params[0] > 0.0:
+            power = G.kind in ("power", "extended_power")
+            if G.kind == "linear" or power and G.params[1] == 2.0:  # alpha * x^(2-1) is linear
+                linear += w * G.params[0]
+            elif power and w * G.params[0] > 0.0:
                 alpha, q = G.params
-                self.powers[q] = self.powers.get(q, 0.0) + w * alpha
+                powers[q] = powers.get(q, 0.0) + w * alpha
+        self._split(linear, powers)
 
-    @property
-    def key(self):
-        """Equal keys give equal resolvents at every s."""
-        return (self.mode, self.lo, self.hi, self.linear, tuple(sorted(self.powers.items())))
+    def _split(self, linear: float, powers: dict[float, float]) -> None:
+        self.linear, self.powers = linear, powers
+        # equal keys give equal resolvents at every scale
+        self.key = (self.lo, self.hi, linear, tuple(sorted(powers.items())))
+        self.c = 1.0 + linear
+        self.roots = [(A / self.c, q) for q, A in powers.items() if A / self.c > 0.0]
+        self.slopes = [(A * (q - 1.0), q - 2.0) for q, A in powers.items() if A * (q - 1.0) > 0.0]
 
-    def at(self, s: float) -> "_ScaledResolvent":
-        return _ScaledResolvent(self, s)
-
-
-class _ScaledResolvent:
-    """``ResolventPlan`` at one scale s: x -> R(r) by ``value`` and the
-    slope dR/dr at R(r) = x by ``slope``.  Iterating it gives its weighted
-    terms (s * w_i, gamma_i), so it can stand for them as the ``terms`` of
-    ``resolve_terms`` and ``resolvent_slope``, which then use it as it is.
-
-    R(r) = clip(sign(r) * xi, lo, hi), xi the root
-    of c * xi + sum_q s * A_q * xi^(q-1) = |r|, c = 1 + s * linear.  Every
-    finite endpoint of [lo, hi] carries a vertical segment of some term, so
-    clipping the resolvent of the smooth sum is exact.  A term whose weight
-    s * w rounds to 0 is absent, as in ``_merge_terms``, and so is a power
-    term whose coefficient does: its value is then exactly 0 and it would
-    give 0 * inf in the slope at x = 0 when q < 2.
-    """
-
-    __slots__ = ("plan", "s", "mode", "lo", "hi", "c", "roots", "slopes")
-
-    def __init__(self, plan: ResolventPlan, s: float):
-        self.plan, self.s = plan, s
-        self.mode = plan.mode if any(s * w > 0.0 for w, _ in plan.terms) else "identity"
-        self.lo, self.hi = plan.lo, plan.hi
-        self.c = 1.0 + s * plan.linear
-        scaled = [(q, s * A) for q, A in plan.powers.items()]
-        self.roots = [(b / self.c, q) for q, b in scaled if b / self.c > 0.0]
-        self.slopes = [(b * (q - 1.0), q - 2.0) for q, b in scaled if b * (q - 1.0) > 0.0]
+    def at(self, s: float) -> "ResolventPlan":
+        plan = object.__new__(ResolventPlan)
+        plan.terms = [(s * w, G) for w, G in self.terms if s * w > 0.0]
+        plan.lo, plan.hi = self.lo, self.hi
+        plan._split(s * self.linear, {q: s * A for q, A in self.powers.items()})
+        return plan
 
     def __iter__(self):
-        s = self.s
-        return ((s * w, G) for w, G in self.plan.terms if s * w > 0.0)
+        return iter(self.terms)
 
     def value(self, r: np.ndarray) -> np.ndarray:
         """R(r); the identity returns r itself."""
-        if self.mode == "identity":
+        if not self.terms:
             return r
         if not self.roots:
             x = r / self.c  # sign(r) * |r| / c, exactly
@@ -402,11 +371,8 @@ class _ScaledResolvent:
             t = np.abs(r)
             if self.c != 1.0:
                 t /= self.c
-            if len(self.roots) == 1:
-                ((beta, q),) = self.roots
-                xi = _power_root(t, beta, q)
-            else:
-                xi = _power_sum_root(t, self.roots)
+            one = len(self.roots) == 1
+            xi = _power_root(t, *self.roots[0]) if one else _power_sum_root(t, self.roots)
             x = np.copysign(xi, r)
         if self.lo > -math.inf:
             np.maximum(x, self.lo, out=x)
@@ -415,33 +381,29 @@ class _ScaledResolvent:
         return x
 
     def slope(self, x: np.ndarray) -> np.ndarray:
-        """dR/dr at R(r) = x: 1 / (c + sum_q s * A_q * (q-1) * |x|^(q-2))
+        """dR/dr at R(r) = x: 1 / (c + sum_q A_q * (q-1) * |x|^(q-2))
         where x lies strictly inside [lo, hi], 0 elsewhere (where it was
         clipped to an endpoint, and at a non-finite x); an element of the
         generalised (Clarke) derivative, as used by a semismooth Newton
         solve.  The identity has slope 1 everywhere."""
-        if self.mode == "identity":
+        if not self.terms:
             return np.ones_like(x)
-        if not self.slopes:
-            out = np.full_like(x, 1.0 / self.c)
-        else:
-            ax = np.abs(x)
-            denom = np.full_like(x, self.c)
+        denom = np.full_like(x, self.c)
+        if self.slopes:
             with np.errstate(divide="ignore"):  # |x|^(q-2) is infinite at 0 when q < 2
                 for coef, e in self.slopes:
-                    denom += coef * ax**e
-            out = 1.0 / denom
-        return np.where((x > self.lo) & (x < self.hi), out, 0.0)
+                    denom += coef * np.abs(x) ** e
+        return np.where((x > self.lo) & (x < self.hi), 1.0 / denom, 0.0)
 
 
-def _scaled(terms) -> _ScaledResolvent:
-    return terms if isinstance(terms, _ScaledResolvent) else ResolventPlan(terms).at(1.0)
+def _plan(terms) -> ResolventPlan:
+    return terms if isinstance(terms, ResolventPlan) else ResolventPlan(terms)
 
 
 def resolvent_slope(x, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray:
     """Derivative dx/dr of the resolvent of ``resolve_terms``, given its
-    value x (see ``_ScaledResolvent.slope``)."""
-    return _scaled(terms).slope(np.asarray(x, dtype=float))
+    value x (see ``ResolventPlan.slope``)."""
+    return _plan(terms).slope(np.asarray(x, dtype=float))
 
 
 def _merge_terms(terms: Sequence[tuple[float, MonotoneGraph]]) -> list[tuple[float, MonotoneGraph]]:
@@ -464,13 +426,13 @@ def resolve_terms(r, terms: Sequence[tuple[float, MonotoneGraph]]) -> np.ndarray
     """Solve x + sum_i lam_i * gamma_i(x) ∋ r elementwise.
 
     ``terms`` is a sequence of (lam_i, graph_i) with lam_i >= 0, or a
-    ``ResolventPlan`` at some scale (``plan.at(s)``), which is used as it
-    is instead of being merged and split again.  Every graph is maximal,
-    so every entry of ``r`` has a solution, found in closed form or by a
-    safeguarded Newton iteration (see ``_ScaledResolvent``).
+    ``ResolventPlan`` (``plan.at(s)``), which is used as it is instead of
+    being merged and split again.  Every graph is maximal, so every entry
+    of ``r`` has a solution, found in closed form or by a safeguarded
+    Newton iteration (see ``ResolventPlan``).
     """
     r = np.asarray(r, dtype=float)
-    x = _scaled(terms).value(r)
+    x = _plan(terms).value(r)
     return r.copy() if x is r else x
 
 

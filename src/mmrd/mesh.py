@@ -27,9 +27,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mesh:
+    """A uniform grid on [0, L] (1D) or [0, Lx] x [0, Ly] (2D) with
+    ``counts`` nodes per axis, boundary included.
+
+    Lengths are stored as floats and counts as ints, in tuples.  A mesh
+    checks itself: dim is 1 or 2, there is one length and one count per
+    axis, each length is finite and lies in [1e-100, 1e100], so that
+    1/h**2 and lambda1 = sum (pi/L)**2 stay far inside the float range, and
+    each count is at least 3.  Each error names the field at fault first,
+    as ``"lengths: ..."``, so a scenario parser can prefix its JSON path.
+    """
+
     dim: int
     lengths: tuple[float, ...]
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ConfigurationError(f"dim: must be 1 or 2, got {self.dim!r}")
+        lengths = tuple(float(L) for L in self.lengths)
+        counts = tuple(int(n) for n in self.counts)
+        for name, values in (("lengths", lengths), ("counts", counts)):
+            if len(values) != self.dim:
+                raise ConfigurationError(f"{name}: expected {self.dim} value(s), got {values}")
+        if not all(1e-100 <= L <= 1e100 for L in lengths):
+            raise ConfigurationError(f"lengths: must be finite and lie in [1e-100, 1e100], got {lengths}")
+        if any(n < 3 for n in counts):
+            raise ConfigurationError(f"counts: must be >= 3, got {counts}")
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,17 +101,7 @@ class Mesh:
 
 def build_mesh(dim: int, lengths, counts) -> Mesh:
     """Uniform grid with ``counts`` nodes (boundary included) per axis."""
-    if dim not in (1, 2):
-        raise ConfigurationError(f"dim must be 1 or 2, got {dim}")
-    lengths = tuple(float(L) for L in lengths)
-    counts = tuple(int(n) for n in counts)
-    if len(lengths) != dim or len(counts) != dim:
-        raise ConfigurationError(f"expected {dim} lengths and counts, got {lengths}, {counts}")
-    if any(L <= 0 for L in lengths):
-        raise ConfigurationError(f"lengths must be > 0, got {lengths}")
-    if any(n < 3 for n in counts):
-        raise ConfigurationError(f"counts must be >= 3, got {counts}")
-    return Mesh(dim, lengths, counts)
+    return Mesh(dim, tuple(lengths), tuple(counts))
 
 
 def integrate(mesh: Mesh, f: np.ndarray) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .graphs import KINDS, MonotoneGraph
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh
 from .reactions import nuclear_reaction, power_reaction, zero_reaction
 from .spectral import principal_eigenpair
 from .stepper import ProblemSpec, TimeControl
@@ -131,8 +131,8 @@ def _is_number(v) -> bool:
 
 
 def _as_number(v, path: str) -> float:
-    """v as a float; a JSON number only, not a bool, a string or null."""
-    if not _is_number(v):
+    """v as a float; a JSON number only, not a bool, a string, null or NaN."""
+    if not _is_number(v) or v != v:
         raise ConfigurationError(f"{path}: expected a number, got {v!r}")
     try:
         return float(v)
@@ -148,9 +148,12 @@ def _as_integer(v, path: str) -> int:
     return int(x)
 
 
-def _per_axis(v, path: str, dim: int, read=_as_number) -> list:
-    """v as a list of ``dim`` values, each read by ``read``."""
-    if not isinstance(v, (list, tuple)) or len(v) != dim:
+def _per_axis(v, path: str, dim: int | None = None, read=_as_number) -> list:
+    """v as a list of values, each read by ``read``: ``dim`` of them, or any
+    number of them when ``dim`` is None."""
+    if not isinstance(v, (list, tuple)):
+        raise ConfigurationError(f"{path}: expected an array")
+    if dim not in (None, len(v)):
         raise ConfigurationError(f"{path}: expected {dim} value(s)")
     return [read(x, f"{path}[{i}]") for i, x in enumerate(v)]
 
@@ -200,19 +203,11 @@ def scenario_from_dict(obj: dict, path: str = "scenario", allow_pair: bool = Tru
 
     dom = obj["domain"]
     _check_keys(dom, f"{path}.domain", ("dim", "lengths", "counts"))
+    # Mesh checks the dim, the number of lengths and counts and their ranges
     dim = _as_integer(dom["dim"], f"{path}.domain.dim")
-    if dim not in (1, 2):
-        raise ConfigurationError(f"{path}.domain.dim: must be 1 or 2, got {dom['dim']!r}")
-    lengths = _per_axis(dom["lengths"], f"{path}.domain.lengths", dim)
-    counts = _per_axis(dom["counts"], f"{path}.domain.counts", dim, _as_integer)
-    if not all(0 < v < np.inf for v in lengths):
-        raise ConfigurationError(f"{path}.domain.lengths: must be finite and > 0")
-    # so that 1/h**2 and lambda1 = sum (pi/L)**2 stay far inside the float range
-    if not all(1e-100 <= v <= 1e100 for v in lengths):
-        raise ConfigurationError(f"{path}.domain.lengths: must lie in [1e-100, 1e100]")
-    if any(n < 3 for n in counts):
-        raise ConfigurationError(f"{path}.domain.counts: must be >= 3")
-    mesh = build_mesh(dim, lengths, counts)
+    lengths = _per_axis(dom["lengths"], f"{path}.domain.lengths")
+    counts = _per_axis(dom["counts"], f"{path}.domain.counts", read=_as_integer)
+    mesh = _prefixed(f"{path}.domain.", Mesh, dim, tuple(lengths), tuple(counts))
 
     # graphs and initial data are built as they are read: a graph's or a
     # bump's error names the param at fault, after the object's path

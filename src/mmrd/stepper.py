@@ -403,7 +403,7 @@ class _Workspace:
         for k in range(P.m):
             for w, idx in node_classes:
                 plan = ResolventPlan([(1.0, P.interior[k]), (w, P.boundary[k])])
-                if plan.mode != "identity":
+                if plan.terms:
                     # one diffusion coefficient gives one c, so one scale
                     group = (P.diffusion[k], plan.key)
                     plans.setdefault(group, (k, plan, []))[2].append(k * self.n + idx)

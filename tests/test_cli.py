@@ -104,6 +104,20 @@ def test_parse_reads_dim_as_an_integer():
     np.testing.assert_array_equal(build_problem(s2)[0].initial, build_problem(s1)[0].initial)
 
 
+@pytest.mark.parametrize("section, key", [("components", "diffusion"), ("time", "t_end")])
+def test_cli_scenario_with_nan_exit_1(tmp_path, capsys, section, key):
+    # a NaN diffusion reported a false blow-up (exit 2), and a NaN t_end
+    # completed (exit 0) after no step
+    obj = json.loads(json.dumps(BASE))
+    where = obj[section][0] if section == "components" else obj[section]
+    where[key] = float("nan")
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")  # NaN, which json reads back
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 1
+    path = "components[0]" if section == "components" else section
+    assert f"scenario.{path}.{key}: expected a number, got nan" in capsys.readouterr().err
+
+
 def test_parse_rejects_component_count_mismatch():
     bad = json.loads(json.dumps(BASE))
     bad["reaction"] = {"kind": "nuclear", "a": 1.0, "b": 1.0}
@@ -318,7 +332,7 @@ BAD_DOMAINS = {
     "counts_beyond_float": ("counts", [10**400], "scenario.domain.counts[0]"),
     "lengths_null": ("lengths", [None], "scenario.domain.lengths[0]"),
     "lengths_bool": ("lengths", [True], "scenario.domain.lengths[0]"),
-    "lengths_nan": ("lengths", [float("nan")], "scenario.domain.lengths"),
+    "lengths_nan": ("lengths", [float("nan")], "scenario.domain.lengths[0]"),
     "lengths_tiny": ("lengths", [1e-200], "scenario.domain.lengths"),
     "lengths_huge": ("lengths", [1e200], "scenario.domain.lengths"),
     "dim_bool": ("dim", True, "scenario.domain.dim"),

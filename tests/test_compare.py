@@ -125,8 +125,8 @@ def test_run_pair_swapped_pair_shows_positive_defect():
     # overridden) the defect becomes strictly positive at some step
     P1 = make_problem(extended_neumann_graph(), n=51)
     P2 = make_problem(dirichlet_graph(), n=51)
-    rep = run_pair(P1, P2, TimeControl(t_end=0.005, blowup_threshold=1e3),
-                   a3_apriori=True, a4_apriori=True)
+    assumptions = check_assumptions(P1, P2, a3_apriori=True, a4_apriori=True)
+    rep = run_pair(P1, P2, TimeControl(t_end=0.005, blowup_threshold=1e3), assumptions=assumptions)
     assert rep.max_defect > 1e-3
 
 

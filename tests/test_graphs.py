@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mmrd import (
@@ -208,12 +208,20 @@ def _log_uniform(lo_exp, hi_exp):
 
 @settings(max_examples=300, deadline=None)
 @given(
+    q=st.sampled_from([2.5, 3.0]) | st.floats(1.25, 4.0),
     beta=st.just(0.0) | _log_uniform(-12, 6) | st.floats(1e-12, 1e6),
     t=st.just(0.0) | _log_uniform(-300, 12) | st.floats(1e-300, 1e12),
 )
-def test_power_root_five_halves_matches_oracle(beta, t):
-    got = graphs._power_root(np.array([t]), beta, 2.5)[0]
-    assert got == pytest.approx(_oracle_power_root(t, beta, 2.5), rel=1e-12, abs=0.0)
+@example(q=1.5, beta=1e6, t=1.01e-10)  # a bracket of 1e-12 absolute gave 4.4e-29, not 1.02e-32
+def test_power_root_five_halves_matches_oracle(q, beta, t):
+    # closed forms for q = 5/2 and 3, Newton for the rest.  The root is at
+    # least x0, where each of xi and beta xi^(q-1) is at most t / 2.  The
+    # oracle halves [0, t] at most 400 times: keep x0 a normal float that
+    # 300 halvings of t reach
+    x0 = t / 2.0 if beta == 0.0 else min(t / 2.0, (t / (2.0 * beta)) ** (1.0 / (q - 1.0)))
+    assume(t == 0.0 or x0 >= max(t * 2.0**-300, 1e-305))
+    got = graphs._power_root(np.array([t]), beta, q)[0]
+    assert got == pytest.approx(_oracle_power_root(t, beta, q), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [1e-12, 1e-3, 1.0, 1e6])
@@ -264,8 +272,9 @@ def test_power_sum_root_where_beta_times_t_overflows():
 
 
 class _CountingNumpy:
-    """numpy, counting the calls that the generic loops of ``_power_root``
-    make once (``abs``, Newton) or twice (``where``, bisection) per iteration."""
+    """numpy, counting the calls that the loop of ``_power_sum_root``, where
+    ``_power_root`` sends these q, makes once (``abs``) or three times
+    (``where``) per iteration."""
 
     def __init__(self):
         self.calls = {"abs": 0, "where": 0}
@@ -292,7 +301,7 @@ def test_power_root_generic_paths_stop_relative_at_large_t(monkeypatch, q, t):
     monkeypatch.undo()
     assert got == pytest.approx(_oracle_power_root(t, 1.0, q), rel=1e-12, abs=0.0)
     if q > 2.0:
-        assert counting.calls["abs"] < 60  # the Newton cap
+        assert counting.calls["abs"] < 60  # Newton steps
     else:
         assert counting.calls["where"] < 2 * graphs.BISECT_MAX_ITER
 

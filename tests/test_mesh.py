@@ -10,16 +10,17 @@ import pytest
 
 from mmrd.errors import ConfigurationError
 from mmrd.graphs import dirichlet_graph, extended_neumann_graph, extended_power_graph, zero_graph
-from mmrd.mesh import build_mesh, integrate, positive_part_l2, sup_norm
+from mmrd.mesh import Mesh, build_mesh, integrate, positive_part_l2, sup_norm
 from mmrd.reactions import zero_reaction
 from mmrd.stepper import ProblemSpec, step
 from oracles import oracle_apply_diffusion
 
 
 def test_build_mesh_1d_nodes():
-    mesh = build_mesh(1, [1.0], [5])
+    mesh = build_mesh(1, [1], [5.0])
     np.testing.assert_allclose(mesh.axes[0], [0.0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.spacing == (0.25,)
+    assert mesh == Mesh(1, (1.0,), (5,)) and type(mesh.counts[0]) is int
 
 
 def test_build_mesh_2d_boundary_count():
@@ -33,10 +34,22 @@ def test_build_mesh_spacing():
     assert mesh.spacing[0] == pytest.approx(0.01)
 
 
-@pytest.mark.parametrize("args", [(1, [1.0], [2]), (1, [-1.0], [5]), (3, [1.0] * 3, [5] * 3)])
+@pytest.mark.parametrize("args", [
+    (1, [1.0], [2], "counts"),
+    (1, [-1.0], [5], "lengths"),
+    (3, [1.0] * 3, [5] * 3, "dim"),
+    (1, [1e-200], [11], "lengths"),
+    (1, [1e200], [11], "lengths"),
+    (2, [1.0, math.nan], [11, 11], "lengths"),
+    (2, [1.0], [11, 11], "lengths"),
+])
 def test_build_mesh_rejects_bad_sizes(args):
-    with pytest.raises(ConfigurationError):
-        build_mesh(*args)
+    # a mesh checks itself and names the field at fault; one of length
+    # 1e-200 was built, and then run() raised ZeroDivisionError on it
+    *mesh_args, field = args
+    for make in (Mesh, build_mesh):
+        with pytest.raises(ConfigurationError, match=rf"^{field}: "):
+            make(*mesh_args)
 
 
 def test_integrate_constant_and_linear_exact():
