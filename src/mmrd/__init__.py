@@ -37,7 +37,6 @@ from .reactions import (
     Reaction,
     check_order_F,
     check_sc,
-    custom_reaction,
     ell,
     eval_reaction,
     lipschitz_bound,

@@ -2,10 +2,11 @@
 
 ``check_assumptions`` composes the structural checks for a (sub, super)
 problem pair: ordered initial data, dominating interior and boundary graphs
-(via ``graphs.dominates``), ordered reactions and the quasimonotone
-structure condition.  ``run_pair`` then advances both problems on a shared
-time grid, through the same adaptive driver as ``stepper.run``, and records
-the ordering defect
+(via ``graphs.dominates``), and ordered reactions on the symmetric state
+box with the quasimonotone structure condition, both decided from the
+reactions' kinds and params (``reactions``).  ``run_pair`` then advances
+both problems on a shared time grid, through the same adaptive driver as
+``stepper.run``, and records the ordering defect
 
     d(t) = max_k sup (u1^k - u2^k)^+
 
@@ -54,10 +55,13 @@ class AssumptionReport:
     """Structured verdicts for the four comparison hypotheses.
 
     a1: initial ordering with the largest violation; a2/a3: per-component
-    domination verdicts for interior/boundary graphs; a4: reaction ordering
-    plus the structure condition of one of the reactions (whose Lipschitz
-    bound l_m feeds the Gronwall monitor).  A-priori override flags skip the
-    corresponding check and are recorded.
+    domination verdicts for interior/boundary graphs; a4: the reaction
+    ordering F1 <= F2 on the symmetric box of radius ``box_radius`` and the
+    structure condition of the sub reaction, whose Lipschitz bound l_m feeds
+    the Gronwall monitor.  Both are decided from the reactions' kinds and
+    params (``reactions`` module docstring): the ordering holds only for
+    equal reactions, and the structure condition always holds.  A-priori
+    override flags skip the corresponding check and are recorded.
     """
 
     a1_ok: bool
@@ -66,7 +70,6 @@ class AssumptionReport:
     a3: tuple[DominationVerdict, ...]
     a4_order: OrderVerdict | None
     a4_sc: ScResult | None
-    a4_sc_side: str | None  # "sub" | "super"
     box_radius: float
     a3_overridden: bool = False
     a4_overridden: bool = False
@@ -79,12 +82,7 @@ class AssumptionReport:
             return False
         if not self.a3_overridden and not all(v.holds for v in self.a3):
             return False
-        if not self.a4_overridden:
-            if self.a4_order is None or not self.a4_order.holds:
-                return False
-            if self.a4_sc is None or not self.a4_sc.ok:
-                return False
-        return True
+        return self.a4_overridden or (self.a4_order.holds and self.a4_sc.ok)
 
     def summary_lines(self) -> list[str]:
         lines = [f"A1 initial ordering: {'ok' if self.a1_ok else 'FAIL'} "
@@ -98,15 +96,9 @@ class AssumptionReport:
         if self.a4_overridden:
             lines.append("A4: overridden a priori")
         else:
-            order = self.a4_order.status if self.a4_order else "not checked"
-            lines.append(f"A4 reaction ordering: {order}")
-            if self.a4_sc is not None and self.a4_sc.ok:
-                lines.append(
-                    f"A4 structure condition ({self.a4_sc_side}): ok, L_M = {self.a4_sc.l_m:.6g} "
-                    f"on box {self.box_radius:.3g}"
-                )
-            else:
-                lines.append("A4 structure condition: FAIL")
+            lines.append(f"A4 reaction ordering: {self.a4_order.status}")
+            lines.append(f"A4 structure condition (sub): ok, L_M = {self.a4_sc.l_m:.6g} "
+                         f"on box {self.box_radius:.3g}")
         lines.append(f"assumptions {'PASS' if self.passed else 'FAIL'}")
         return lines
 
@@ -148,19 +140,13 @@ def check_assumptions(
         for k in range(P1.m)
     )
 
-    a4_order = a4_sc = a4_side = None
+    a4_order = a4_sc = None
     if not a4_apriori:
         a4_order = check_order_F(P1.reaction, P2.reaction, box_radius)
         a4_sc = check_sc(P1.reaction, box_radius)
-        a4_side = "sub"
-        if not a4_sc.ok:
-            alt = check_sc(P2.reaction, box_radius)
-            if alt.ok:
-                a4_sc, a4_side = alt, "super"
 
     return AssumptionReport(
-        a1_ok, max(a1_violation, 0.0), a2, a3, a4_order, a4_sc, a4_side,
-        box_radius, a3_apriori, a4_apriori,
+        a1_ok, max(a1_violation, 0.0), a2, a3, a4_order, a4_sc, box_radius, a3_apriori, a4_apriori,
     )
 
 
@@ -272,7 +258,7 @@ def run_pair(
 
     # Gronwall monitor from the earliest sample with positive energy
     smax = float(max(traj1.sup_norms.max(initial=0.0), traj2.sup_norms.max(initial=0.0)))
-    lm = assumptions.a4_sc.l_m if (assumptions.a4_sc and assumptions.a4_sc.ok) else None
+    lm = assumptions.a4_sc.l_m if assumptions.a4_sc else None
     margins = np.full(len(times), -math.inf)
     start = None
     pos = np.nonzero(energies > 0.0)[0]

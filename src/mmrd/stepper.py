@@ -448,9 +448,9 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
     the solve stops when every component has, or at a NaN residual (the
     driver classifies the non-finite state).  A ``predicted`` start (an
-    extrapolation, see ``step``) is not returned as it is, even when it
-    passes that test: it takes at least one Newton step, so that it saves
-    work and never accuracy.  (The test is absolute below |x| = 1, and a
+    extrapolation other than S, see ``step``) is not returned as it is,
+    even when it passes that test: it takes at least one Newton step, so
+    that it saves work and never accuracy.  (The test is absolute below |x| = 1, and a
     start that lands just inside it would otherwise carry its error of up
     to SOLVE_TOL into every step of a decaying run.)  A component that has
     converged may take further steps while another finishes.  The factors in ``ws``
@@ -558,8 +558,11 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None 
     Hairer & Wanner, Solving ODEs II, 2nd ed., IV.8), so its first residual
     is O(dt^3) on smooth stretches in place of O(dt); any other S (the retry
     of a step whose output was discarded, a caller's own state, a step
-    without workspace) starts from S.  The workspace changes the path of
-    the solve, never the stopping test its result passes.
+    without workspace) starts from S.  An extrapolation bitwise equal to
+    S (a constant history) starts the solve as S does, without the Newton
+    step a prediction takes, so that constant states stay fixed.  The
+    workspace changes the path of the solve, never the stopping test its
+    result passes.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
@@ -570,7 +573,8 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None 
     F = eval_reaction(P.reaction, S)
     rhs = (S + dt * F).reshape(ws.m, ws.n)
     history = ws.history if S is ws.out else ()
-    U = _solve(ws, _extrapolate(S, dt, history).reshape(-1), rhs, bool(history)).reshape(S.shape)
+    u = _extrapolate(S, dt, history)
+    U = _solve(ws, u.reshape(-1), rhs, u.tobytes() != S.tobytes()).reshape(S.shape)
     ws.out, ws.history = U, ((S, dt),) + history[:1]
     return U
 

@@ -5,6 +5,9 @@ is a plain scalar bisection (the library uses closed forms and Newton steps
 for the built-in kinds), so agreement is a genuine cross-check.  They read
 only a graph's kind and params, and take its domain, selection and value
 set from their own closed form per kind, not from the library's table.
+The reaction oracles evaluate F from its kind and params by their own
+formulas, and sample it on dense grids (order excess, finite-difference
+partials), where the library decides each check in closed form.
 """
 
 from __future__ import annotations
@@ -187,3 +190,50 @@ def oracle_apply_diffusion(mesh, f, a, bc):
                 total -= 2.0 / (a * h) * section(float(f[node]))
         out[node] = a * total
     return out
+
+
+def _oracle_reaction(F, U):
+    """F at the points U, shape (m, N), from the reaction's kind and params."""
+    import numpy as np
+
+    if F.kind == "power":
+        return np.sign(U) * np.abs(U) ** (F.p - 1.0)
+    if F.kind == "nuclear":
+        return np.stack([U[0] * (U[1] - F.b), F.a * U[0]])
+    return np.zeros_like(U)  # zero
+
+
+def _oracle_grid(m, lo, hi, per_axis):
+    """The points of a tensor grid on [lo, hi]^m, shape (m, per_axis**m)."""
+    import numpy as np
+
+    grids = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * m, indexing="ij")
+    return np.stack([g.ravel() for g in grids])
+
+
+def oracle_order_excess(F1, F2, R, per_axis=41):
+    """(largest excess F1^k - F2^k, largest |F1^k|, |F2^k|) sampled on
+    [-R, R]^m, over a grid of ``per_axis`` points per axis."""
+    import numpy as np
+
+    U = _oracle_grid(F1.m, -R, R, per_axis)
+    v1, v2 = _oracle_reaction(F1, U), _oracle_reaction(F2, U)
+    return float(np.max(v1 - v2)), float(max(np.abs(v1).max(), np.abs(v2).max()))
+
+
+def oracle_partials(F, lo, hi, per_axis=41):
+    """Central differences of dF^k/du_j, shape (m, m, N), on a grid of
+    [lo, hi]^m whose stencils stay inside the box (step 1e-4 (hi - lo)).
+
+    Each is the mean of dF^k/du_j over its stencil, so no sampled |partial|
+    exceeds the largest one on the box (up to rounding)."""
+    import numpy as np
+
+    h = 1e-4 * (hi - lo)
+    U = _oracle_grid(F.m, lo + h, hi - h, per_axis)
+    out = []
+    for j in range(F.m):
+        e = np.zeros_like(U)
+        e[j] = h
+        out.append((_oracle_reaction(F, U + e) - _oracle_reaction(F, U - e)) / (2.0 * h))
+    return np.stack(out, axis=1)  # [k, j, point]

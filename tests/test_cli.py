@@ -229,6 +229,18 @@ def test_cli_compare_assumption_failure_exit_4(tmp_path):
     assert "assumptions FAIL" in (tmp_path / "out" / "compare_report.txt").read_text()
 
 
+def test_cli_compare_reaction_order_failure_exit_4(tmp_path):
+    # u|u| <= u^3 fails for u in (0, 1) and u < -1 on the symmetric box
+    obj = scenario_to_dict(make_preset("Pp_dirichlet", n=31, t_end=0.01))
+    obj["pair"] = {"preset": "Pp_dirichlet", "params": {"n": 31, "t_end": 0.01, "p": 4.0}}
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["compare", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert code == 4
+    report = (tmp_path / "out" / "compare_report.txt").read_text()
+    assert "A4 reaction ordering: fails" in report and "assumptions FAIL" in report
+
+
 def test_cli_compare_override_flags_detect_violation(tmp_path):
     # overriding the failed hypotheses forces the run; the swapped pair then
     # violates the ordering and exits with code 3
@@ -423,15 +435,14 @@ def test_cli_run_to_huge_threshold_stays_cheap(tmp_path):
 
 
 def test_cli_compare_overflowing_box_ends_in_collapse(tmp_path):
-    # check_sc meets non-finite partials on the huge box: it reports
-    # L_M = inf instead of a configuration error, and the pair collapses as
-    # `mmrd run` does on the same data
+    # the exact bound (p - 1) R^(p - 2) of power(3) is finite on the huge
+    # box, and the pair collapses as `mmrd run` does on the same data
     out = tmp_path / "out"
     code = main(["compare", "--preset", "Pp_pair_dirichlet_power", "--params", '{"c": 1e300}',
                  "--out", str(out)])
     assert code == 5
     report = (out / "compare_report.txt").read_text()
-    assert "L_M = inf" in report and "overflowed to inf" in report
+    assert "L_M = 3.14185e+300 on box 1.57e+300" in report and "overflowed to inf" in report
 
 
 def _nodes(obj, path=()):

@@ -20,7 +20,7 @@ from mmrd.graphs import (
     zero_graph,
 )
 from mmrd.mesh import build_mesh
-from mmrd.reactions import power_reaction
+from mmrd.reactions import power_reaction, zero_reaction
 from mmrd.spectral import principal_eigenpair
 from mmrd.stepper import ProblemSpec, TimeControl, run, step
 
@@ -155,21 +155,20 @@ def test_blowup_order_experiment_reports_non_blowup():
 
 
 def test_reaction_ordering_pair():
-    # F1(u) = u^2 (power p=3 on nonneg data) vs F2 = u^2 + u^+: larger
-    # reaction blows up earlier, so it is the super side here
-    from mmrd.reactions import custom_reaction
-
-    bigger = custom_reaction(1, lambda U: np.abs(U) * U + np.maximum(U, 0.0))
-    P1 = make_problem(dirichlet_graph(), n=51)
-    P2 = make_problem(dirichlet_graph(), n=51, reaction=bigger)
+    # F1 = 0 <= F2 = u|u| holds on nonnegative states only: A4 fails on the
+    # symmetric box, and the pair passes with A4 taken a priori
+    P1 = make_problem(dirichlet_graph(), n=51, reaction=zero_reaction())
+    P2 = make_problem(dirichlet_graph(), n=51)
     rep = check_assumptions(P1, P2)
+    assert not rep.passed and rep.a4_order.status == "fails"
+    k, U, f1, f2 = rep.a4_order.witness
+    assert f1 > f2 and max(abs(u) for u in U) <= rep.box_radius
+    rep = check_assumptions(P1, P2, a4_apriori=True)
     assert rep.passed
     pair = run_pair(P1, P2, TimeControl(t_end=1.0, blowup_threshold=1e3), assumptions=rep)
     assert pair.ordering_ok
-    v_sub = pair.traj_sub
-    v_super = pair.traj_super
-    # the run stops when the larger one blows; the smaller one has not passed it
-    assert v_super.status == "blowup" or v_sub.status == "blowup"
+    # the run stops when the super solution blows up
+    assert pair.traj_super.status == "blowup"
 
 
 def _assert_same_trajectory(a, b):

@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmrd.errors import ConfigurationError
 from mmrd.reactions import (
+    Reaction,
     check_order_F,
     check_sc,
-    custom_reaction,
     ell,
     eval_reaction,
     lipschitz_bound,
@@ -21,6 +21,7 @@ from mmrd.reactions import (
     power_reaction,
     zero_reaction,
 )
+from oracles import oracle_order_excess, oracle_partials
 
 
 def test_eval_power():
@@ -55,59 +56,71 @@ def test_reaction_parameter_validation():
     with pytest.raises(ConfigurationError):
         nuclear_reaction(-1.0, 1.0)
     nuclear_reaction(0.0, 1.0)  # a = 0 admitted (globally solvable regime)
+    # a Reaction checks itself: its kind, its component count and its params
+    for kwargs in [
+        dict(kind="custom", m=1),
+        dict(kind="power", m=2, p=3.0),
+        dict(kind="nuclear", m=2, a=1.0, b=0.0),
+        dict(kind="zero", m=0),
+        dict(kind="power", m=1, p=float("nan")),
+        dict(kind="zero", m=1, p=3.0),
+        dict(kind="power", m=1, p=3.0, b=1.0),
+    ]:
+        with pytest.raises(ConfigurationError):
+            Reaction(**kwargs)
 
 
 def test_check_sc_nuclear_ok_with_expected_lipschitz():
     res = check_sc(nuclear_reaction(1.0, 1.0), 5.0)
     assert res.ok
-    # true bound on |U|_inf <= 5 is max(a, b+M, M) = 6; returned value is
-    # inflated by 10% and must not be undercut by the sampled lower bound
-    assert res.l_m >= 6.0 - 1e-6
-    assert res.l_m == pytest.approx(6.6, rel=1e-6)
+    # the exact bound on |U|_inf <= 5 is max(a, b + M, M) = 6
+    assert res.l_m == 6.0
 
 
 def test_check_sc_off_diagonal_sign_on_nonneg_orthant():
-    # dF1/du2 = u1 which is >= 0 exactly on the nonnegative orthant
+    # dF1/du2 = u1 and dF2/du1 = a are >= 0 on the nonnegative orthant
     res = check_sc(nuclear_reaction(1.0, 1.0), 3.0)
-    assert res.ok
-    bad = custom_reaction(2, lambda U: np.stack([-U[1], np.zeros_like(U[0])]))
-    res = check_sc(bad, 2.0)
-    assert not res.ok
-    k, j, U = res.witness
-    assert (k, j) == (0, 1)
+    assert res.ok and res.l_m == 4.0
 
 
 def test_check_sc_scalar_vacuous_off_diagonals():
     res = check_sc(power_reaction(3.0), 4.0)
     assert res.ok
     # |F'| = (p-1)M^(p-2) = 8 at the box edge
-    assert res.l_m == pytest.approx(1.1 * 8.0, rel=1e-4)
+    assert res.l_m == 8.0
 
 
 def test_check_sc_reports_overflow_as_infinite_lipschitz_bound():
     with np.errstate(over="raise", invalid="raise"):
-        res = check_sc(power_reaction(3.0), 1e300)
-    assert res.ok and res.l_m == math.inf
+        res = check_sc(power_reaction(4.0), 1e300)
+        assert res.ok and res.l_m == math.inf
+        assert check_sc(power_reaction(3.0), 1e300).l_m == 2e300
 
 
-def test_check_order_overflow_is_inconclusive_unless_reactions_are_equal():
+def test_check_order_on_an_overflowing_box():
+    # equal reactions hold; unequal ones fail, even where every grid value
+    # of the excess overflows (inf - inf)
     p3 = power_reaction(3.0)
-    assert check_order_F(p3, power_reaction(3.0), 1e300).holds
-    bigger = custom_reaction(1, lambda U: 2.0 * np.abs(U) * U)
     with np.errstate(over="raise", invalid="raise"):
-        assert check_order_F(p3, bigger, 1e300).status == "inconclusive"
+        assert check_order_F(p3, power_reaction(3.0), 1e300).holds
+        assert check_order_F(p3, power_reaction(4.0), 1e300).status == "fails"
 
 
 def test_check_order_examples():
     p3 = power_reaction(3.0)
     assert check_order_F(p3, p3, 5.0).holds
-    bigger = custom_reaction(1, lambda U: np.abs(U) * U + np.maximum(U, 0.0))
-    assert check_order_F(p3, bigger, 5.0).holds
-    shifted = custom_reaction(1, lambda U: np.abs(U) * U + 1.0)
-    v = check_order_F(shifted, p3, 5.0)
+    # zero <= u|u| holds for u >= 0 only, so it fails on the symmetric box
+    v = check_order_F(zero_reaction(), p3, 5.0)
     assert v.status == "fails"
     k, U, f1, f2 = v.witness
-    assert f1 > f2
+    assert f1 > f2 and U[0] < 0
+    # F1 - F2 = 1e-14 * u1 > 0 at every u1 > 0
+    v = check_order_F(nuclear_reaction(1.0, 1.0), nuclear_reaction(1.0, 1.0 + 1e-14), 3.0)
+    assert v.status == "fails"
+    k, U, f1, f2 = v.witness
+    assert k == 0 and U[0] > 0 and f1 > f2
+    with pytest.raises(ConfigurationError):
+        check_order_F(p3, zero_reaction(2), 1.0)
 
 
 def test_ell_closed_forms():
@@ -122,11 +135,6 @@ def test_ell_and_lipschitz_bound_overflow_to_inf():
     assert ell(F, 1e300) == math.inf
     assert lipschitz_bound(power_reaction(4.0), 1e300) == math.inf
     assert ell(F, 1e100) == pytest.approx(1e200)
-
-
-def test_ell_custom_sampled():
-    F = custom_reaction(1, lambda U: np.abs(U) * U)  # |u|u, same envelope as power(3)
-    assert ell(F, 2.0) == pytest.approx(6.0, rel=1e-3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +164,54 @@ def test_power_reaction_odd_and_nondecreasing(u, v, p):
         assert fu >= eval_reaction(F, [v])[0] - 1e-9
 
 
-def test_lipschitz_bound_consistent_with_check_sc():
-    for F, M in [(power_reaction(3.0), 4.0), (nuclear_reaction(1.0, 1.0), 5.0)]:
-        sampled = check_sc(F, M).l_m
-        assert lipschitz_bound(F, M) >= sampled / 1.1 - 1e-6
+# built-in reactions: zero or power with one component, zero or nuclear with two
+scalar_reactions = st.just(zero_reaction(1)) | st.floats(2.05, 6.0).map(power_reaction)
+pair_reactions = st.just(zero_reaction(2)) | st.builds(
+    nuclear_reaction, st.floats(0.0, 5.0), st.floats(0.01, 5.0))
+reactions = scalar_reactions | pair_reactions
+box_radii = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.tuples(scalar_reactions, scalar_reactions) | st.tuples(pair_reactions, pair_reactions),
+       R=box_radii)
+@example(pair=(nuclear_reaction(1.0, 1.0), nuclear_reaction(1.0, 1.0 + 1e-14)), R=3.0)
+@example(pair=(nuclear_reaction(0.0, 0.010000000000000002), nuclear_reaction(0.0, 0.01)), R=1.0)
+def test_check_order_fails_wherever_the_sampled_excess_is_positive(pair, R):
+    """Unequal reactions fail, and a sampled excess proves that they do.
+    The witness is a float demonstration: it may be missing only where the
+    excess is at the rounding level of the values."""
+    F1, F2 = pair
+    verdict = check_order_F(F1, F2, R)
+    assert verdict.holds == (F1 == F2)
+    excess, size = oracle_order_excess(F1, F2, R)
+    if excess > 0:
+        assert verdict.status == "fails"
+    if excess > 1e-12 * size:
+        assert verdict.witness is not None
+    if verdict.witness is not None:
+        k, U, f1, f2 = verdict.witness
+        assert f1 > f2 and max(abs(u) for u in U) <= R
+
+
+@settings(max_examples=200, deadline=None)
+@given(F=reactions, R=box_radii)
+def test_lipschitz_bound_covers_sampled_partials(F, R):
+    """The bound is at least every sampled |partial| on the box, and
+    attained near its corners."""
+    bound = lipschitz_bound(F, R)
+    sampled = float(np.max(np.abs(oracle_partials(F, -R, R))))
+    assert sampled <= bound * (1.0 + 1e-9)
+    assert sampled >= 0.99 * bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(F=reactions, R=box_radii)
+def test_sampled_off_diagonal_partials_are_nonnegative_on_the_orthant(F, R):
+    """What check_sc's ok asserts: quasimonotone on [0, R]^m."""
+    assert check_sc(F, R).ok
+    partials = oracle_partials(F, 0.0, R)
+    for k in range(F.m):
+        for j in range(F.m):
+            if j != k:
+                assert partials[k, j].min() >= -1e-9 * max(1.0, R)

@@ -30,7 +30,7 @@ from mmrd.graphs import (
 from mmrd.mesh import build_mesh, sup_norm
 from mmrd.scenarios import build_problem, make_preset
 from mmrd.reactions import (
-    custom_reaction,
+    eval_reaction,
     nuclear_reaction,
     power_reaction,
     zero_reaction,
@@ -99,6 +99,16 @@ def test_constant_state_is_equilibrium_to_machine_precision():
     assert np.max(np.abs(S - 3.7)) <= 1e-14
 
 
+def test_constant_state_stays_fixed_through_run():
+    """A run keeps its accepted states, and their extrapolation is the
+    constant itself: 300 steps at dt = 1e-3 move it by at most 2 ulp."""
+    P = scalar_problem(n=101, boundary=extended_neumann_graph(),
+                       u0=lambda x: np.full_like(x, 3.7))
+    traj = run(P, TimeControl(t_end=0.3))
+    assert traj.status == "completed" and len(traj.times) - 1 == 300
+    assert np.max(np.abs(traj.final_state - 3.7)) <= 2.0 * np.spacing(3.7)
+
+
 def test_heat_decay_rate_matches_principal_eigenvalue():
     n = 201
     mesh = build_mesh(1, [1.0], [n])
@@ -118,11 +128,10 @@ def test_heat_decay_rate_matches_principal_eigenvalue():
 
 
 def test_obstacle_interior_graph_clamps_states():
-    # constant forcing pushes up; the obstacle graph absorbs it at level M
-    F = custom_reaction(1, lambda U: np.full_like(U, 5.0))
+    # u' = u^2 from 0.9 passes 1 at t = 1/9; the obstacle graph absorbs it at level M
     P = scalar_problem(
-        reaction=F, interior=obstacle_graph(1.0), boundary=extended_neumann_graph(),
-        u0=lambda x: np.full_like(x, 0.5),
+        reaction=power_reaction(3.0), interior=obstacle_graph(1.0),
+        boundary=extended_neumann_graph(), u0=lambda x: np.full_like(x, 0.9),
     )
     S = P.initial_state()
     for _ in range(80):
@@ -963,16 +972,13 @@ def test_power_weight_that_underflows_at_the_step_scale_gives_a_finite_step():
     assert oracle_step_residual(P, S, dt, U) <= 1e-9
 
 
-def alone(P: ProblemSpec, k: int) -> ProblemSpec:
-    """Component k of P as a one-component problem; P's reaction must act
-    on each component alone, elementwise."""
-    reaction = P.reaction
-    if reaction.kind == "zero":
-        reaction = zero_reaction()
-    else:
-        reaction = custom_reaction(1, reaction.fn)
-    return ProblemSpec(P.mesh, (P.diffusion[k],), reaction, (P.interior[k],), (P.boundary[k],),
-                       P.initial[k : k + 1])
+def alone(P: ProblemSpec, S: np.ndarray, dt: float, k: int):
+    """Component k of P as a one-component problem without reaction, and
+    the state it steps from: a step freezes the reaction at S, so component
+    k solves the rows of a reaction-free step from S_k + dt F_k(S)."""
+    Q = ProblemSpec(P.mesh, (P.diffusion[k],), zero_reaction(), (P.interior[k],),
+                    (P.boundary[k],), P.initial[k : k + 1])
+    return Q, S[k : k + 1] + dt * eval_reaction(P.reaction, S)[k : k + 1]
 
 
 stacked_problems = st.fixed_dictionaries(
@@ -993,15 +999,19 @@ stacked_problems = st.fixed_dictionaries(
 def stacked_case(d):
     """(P, S1, S2, dt) with S1 <= S2: m components, each with its own
     built-in (interior, boundary) pair, diffusion a_k in [1e-2, 1e2] and
-    data scale; no reaction, or the increasing diagonal F(u) = u|u|."""
+    data scale; no reaction, or at m = 2 the nuclear coupling nuclear(1, 1).
+    The coupling's data are nonnegative: there F is quasimonotone and
+    1 + dt (u2 - b) > 0, so S + dt F(S), the right side of the step, keeps
+    the order of S."""
     m = d["m"]
     mesh = build_mesh(1, [1.0], [9]) if d["dim"] == 1 else build_mesh(2, [1.0, 1.5], [6, 5])
     graphs = [_graph(kind, p) for kind, p in
               zip((g for pair in d["kinds"] for g in pair), d["params"])]
-    reaction = custom_reaction(m, lambda U: U * np.abs(U)) if d["reacting"] else zero_reaction(m)
+    reacting = d["reacting"] and m == 2
+    reaction = nuclear_reaction(1.0, 1.0) if reacting else zero_reaction(m)
     rng = np.random.default_rng(d["seed"])
     scale = np.asarray(d["scales"][:m]).reshape((m,) + (1,) * d["dim"])
-    S1 = rng.uniform(-2.0, 3.0, (m,) + mesh.shape) * scale
+    S1 = rng.uniform(0.0 if reacting else -2.0, 3.0, (m,) + mesh.shape) * scale
     S2 = S1 + rng.uniform(0.0, 1.0, S1.shape) * (rng.random(S1.shape) < 0.7) * scale
     P = ProblemSpec(mesh, tuple(10.0 ** la for la in d["log_a"][:m]), reaction,
                     tuple(graphs[0 : 2 * m : 2]), tuple(graphs[1 : 2 * m : 2]), S1)
@@ -1022,7 +1032,7 @@ def test_stacked_step_solves_every_component_and_keeps_order(d):
     U1, U2 = step(P, S1, dt), step(P, S2, dt)
     for k in range(P.m):
         for S, U in ((S1, U1), (S2, U2)):
-            residual = oracle_step_residual(alone(P, k), S[k : k + 1], dt, U[k : k + 1])
+            residual = oracle_step_residual(*alone(P, S, dt, k), dt, U[k : k + 1])
             assert residual <= 1e-9 * max(1.0, float(np.abs(U[k]).max()))
         # each state is within SOLVE_TOL * (c - 1) * scale of the exact one
         scale = max(1.0, float(np.abs(U2[k]).max()))
@@ -1038,7 +1048,7 @@ def test_stacked_step_equals_solving_each_component_alone(d):
     P, S, _, dt = stacked_case(d)
     U = step(P, S, dt)
     for k in range(P.m):
-        V = step(alone(P, k), S[k : k + 1], dt)[0]
+        V = step(*alone(P, S, dt, k), dt)[0]
         scale = max(1.0, float(np.abs(U[k]).max()), float(np.abs(V).max()))
         assert float(np.abs(U[k] - V).max()) <= 2.0 * SOLVE_TOL * diagonal(P, dt, k) * scale
 
