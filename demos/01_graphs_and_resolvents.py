@@ -6,7 +6,7 @@ zero graph, power-law radiation is alpha*|r|^(q-2)*r, and the obstacle
 graph is the subdifferential of the indicator of [-M, M].  The stepper only
 ever talks to them through resolvents, so this script walks through value
 sets, resolvents, Yosida approximations, and the domination checks that
-decide when two boundary laws are comparable.
+decide, in closed form, when two boundary laws are comparable.
 """
 
 from mmrd import (
@@ -50,10 +50,15 @@ for lam in (1e-1, 1e-3, 1e-5):
     print(f"  lam={lam:.0e}: {val:.8f}  (selection value {2.0 ** 1.5:.8f})")
 
 print("\n== domination: when is boundary law 1 'below' boundary law 2? ==")
+zoo["power(1, 3)"] = power_graph(1.0, 3.0)
+zoo["power(1.01, 3)"] = power_graph(1.01, 3.0)
 pairs = [
     ("dirichlet", "extended power(1, 2.5)"),
     ("extended power(1, 2.5)", "extended neumann"),
     ("extended neumann", "extended power(1, 2.5)"),  # the swap must fail
+    # gamma2 = 1.01 r|r| exceeds gamma1 = r|r| at every r > 0: decided in
+    # closed form, this fails; a 201-point sample on [-50, 50] passed it
+    ("power(1, 3)", "power(1.01, 3)"),
 ]
 for n1, n2 in pairs:
     v = dominates(zoo[n1], zoo[n2])
@@ -61,5 +66,5 @@ for n1, n2 in pairs:
         print(f"{n1} <= {n2}: holds via mode ({v.mode})")
     else:
         r1, r2, inf1, sup2 = v.witness
-        print(f"{n1} <= {n2}: fails, witness r1={r1:.3g} > r2={r2:.3g} "
-              f"with sup gamma2 = {sup2:.3g} > inf gamma1 = {inf1:.3g}")
+        print(f"{n1} <= {n2}: fails, witness r1={r1!r} > r2={r2!r} "
+              f"with sup gamma2 = {sup2!r} > inf gamma1 = {inf1!r}")

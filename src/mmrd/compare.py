@@ -2,9 +2,10 @@
 
 ``check_assumptions`` composes the structural checks for a (sub, super)
 problem pair: ordered initial data, dominating interior and boundary graphs
-(via ``graphs.dominates``), and ordered reactions on the symmetric state
-box with the quasimonotone structure condition, both decided from the
-reactions' kinds and params (``reactions``).  ``run_pair`` then advances
+(``graphs.dominates``, decided in closed form from the graphs' domains and
+power laws), and ordered reactions on the symmetric state box with the
+quasimonotone structure condition, both decided from the reactions' kinds
+and params (``reactions``).  ``run_pair`` then advances
 both problems on a shared time grid, through the same adaptive driver as
 ``stepper.run``, and records the ordering defect
 
@@ -55,7 +56,8 @@ class AssumptionReport:
     """Structured verdicts for the four comparison hypotheses.
 
     a1: initial ordering with the largest violation; a2/a3: per-component
-    domination verdicts for interior/boundary graphs; a4: the reaction
+    domination verdicts for interior/boundary graphs, whose report line
+    names the witness of a failure; a4: the reaction
     ordering F1 <= F2 on the symmetric box of radius ``box_radius`` and the
     structure condition of the sub reaction, whose Lipschitz bound l_m feeds
     the Gronwall monitor.  Both are decided from the reactions' kinds and
@@ -90,6 +92,9 @@ class AssumptionReport:
         for name, verdicts, skipped in (("A2", self.a2, False), ("A3", self.a3, self.a3_overridden)):
             for k, v in enumerate(verdicts):
                 tag = f"mode ({v.mode})" if v.holds else v.status
+                if v.witness is not None:
+                    tag += (" at r1 = {!r} > r2 = {!r}: inf gamma1(r1) = {!r} < sup gamma2(r2) = {!r}"
+                            .format(*v.witness))
                 if skipped:
                     tag += " [overridden a priori]"
                 lines.append(f"{name} component {k + 1}: {tag}")
@@ -124,21 +129,13 @@ def check_assumptions(
         raise ConfigurationError("comparison requires common diffusion coefficients")
 
     if box_radius is None:
-        box_radius = 1.0 + max(
-            max(sup_norm(P.initial[k]) for k in range(P.m)) for P in (P1, P2)
-        )
+        box_radius = 1.0 + max(sup_norm(u) for P in (P1, P2) for u in P.initial)
 
-    diff = P1.initial - P2.initial
-    a1_violation = float(np.max(diff))
+    a1_violation = float(np.max(P1.initial - P2.initial))
     a1_ok = a1_violation <= 1e-12
 
-    a2 = tuple(
-        dominates(P1.interior[k], P2.interior[k], modes=("i", "ii")) for k in range(P1.m)
-    )
-    a3 = tuple(
-        dominates(P1.boundary[k], P2.boundary[k], modes=("i", "iii", "ii"))
-        for k in range(P1.m)
-    )
+    a2 = tuple(dominates(G1, G2, modes=("i", "ii")) for G1, G2 in zip(P1.interior, P2.interior))
+    a3 = tuple(dominates(G1, G2, modes=("i", "iii", "ii")) for G1, G2 in zip(P1.boundary, P2.boundary))
 
     a4_order = a4_sc = None
     if not a4_apriori:

@@ -4,26 +4,27 @@ A graph is its (kind, params): ``MonotoneGraph(kind, params)`` stores
 nothing else, and two graphs are equal exactly when their kinds and params
 are.  Everything else comes from one table, ``KINDS``, with a row per kind:
 its params by JSON name (with the default a scenario file may leave out),
-its domain, a closed interval, and its selection ``g``, single-valued and
-nondecreasing there.  Each finite endpoint of the domain carries a
-vertical segment, ``(-inf, g(lo)]`` at the left one and ``[g(hi), +inf)``
-at the right one, so the graph is maximal.  The seven kinds are zero,
-linear (slope), power (alpha, q), Dirichlet, the extensions of power and
-zero flux to ``[0, inf)``, and obstacle (level); they cover every
-boundary/interior law in this package, and ``MonotoneGraph`` refuses any
-other kind, and params that do not fit the kind.
+its domain, a closed interval holding 0, and its law ``(coef, q)``: on the
+domain the selection ``g`` is the odd power law coef * sign(r) * |r|^(q-1),
+single-valued and nondecreasing.  Each finite endpoint of the domain
+carries a vertical segment, ``(-inf, g(lo)]`` at the left one and
+``[g(hi), +inf)`` at the right one, so the graph is maximal.  The seven
+kinds are zero, linear (slope; q = 2), power (alpha, q), Dirichlet, the
+extensions of power and zero flux to ``[0, inf)``, and obstacle (level);
+coef is 0 for zero, Dirichlet, extended Neumann and obstacle.  They cover
+every boundary/interior law in this package, and ``MonotoneGraph`` refuses
+any other kind, and params that do not fit the kind.
 
 The central operation is the resolvent ``r -> x`` solving
 ``x + lam * gamma(x) ∋ r``, also for weighted sums of several graphs
 (needed by boundary rows of the implicit stepper, where the interior and
-boundary graphs act on the same node).  Every built-in kind is a smooth odd
-part (zero, linear or power) plus the indicator of its domain, so any
-weighted sum of them is solved in closed form or by a safeguarded Newton
-iteration on the smooth part, then clipped to the common domain.  A power
-term with q = 2 is linear.  A single power term with q = 5/2 or 3 (5/2 is
-the boundary law of every power preset) has a closed-form root; any other
-power part, one term or several, takes one bracketed Newton iteration that
-stops at a relative tolerance.
+boundary graphs act on the same node).  Every built-in kind is its power
+law plus the indicator of its domain, so any weighted sum of them is
+solved in closed form or by a Newton iteration on the sum of the laws,
+then clipped to the common domain.  A law with q = 2 is linear.  A single
+power term with q = 5/2 or 3 (5/2 is the boundary law of every power
+preset) has a closed-form root; any other power part, one term or several,
+takes one Newton iteration that stops at a relative tolerance.
 
 A ``ResolventPlan`` merges and splits one weighted sum once and gives its
 resolvent and slope; ``plan.at(s)`` is the plan of the same sum with every
@@ -31,6 +32,9 @@ weight multiplied by s, made by rescaling scalars only.
 ``resolve_terms``/``resolvent_slope`` build a plan from the terms they are
 given, or take one: the implicit stepper builds one per node class and
 run, and passes it to them at the step's scale.
+
+``dominates`` decides the ordering modes of the comparison theorem in
+closed form, from the two domains and laws alone: nothing is sampled.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ __all__ = [
     "dominates",
 ]
 
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 200
 
 # the values each param admits, by JSON name
 _RULES = {
@@ -76,32 +80,24 @@ _RULES = {
 class _Kind(NamedTuple):
     params: dict[str, float]  # JSON name -> JSON default, in the order of MonotoneGraph.params
     domain: Callable[[tuple], tuple[float, float]]
-    g: Callable[[np.ndarray, tuple], np.ndarray]
+    law: Callable[[tuple], tuple[float, float]]  # (coef, q): coef * sign(r) * |r|^(q-1)
 
 
-def _zero(r, p):
-    return np.zeros_like(r)
+def _fixed(*values):
+    return lambda p: values
 
 
-def _line(p):
-    return -math.inf, math.inf
-
-
-def _half_line(p):
-    return 0.0, math.inf
-
-
+_LINE, _HALF_LINE, _FLAT = _fixed(-math.inf, math.inf), _fixed(0.0, math.inf), _fixed(0.0, 2.0)
 _POWER = {"alpha": 1.0, "q": 2.0}
 
 KINDS = {
-    "zero": _Kind({}, _line, _zero),
-    "linear": _Kind({"slope": 1.0}, _line, lambda r, p: p[0] * r),
-    "power": _Kind(_POWER, _line, lambda r, p: p[0] * np.sign(r) * np.abs(r) ** (p[1] - 1.0)),
-    "dirichlet": _Kind({}, lambda p: (0.0, 0.0), _zero),
-    "extended_power": _Kind(_POWER, _half_line,
-                            lambda r, p: p[0] * np.maximum(r, 0.0) ** (p[1] - 1.0)),
-    "extended_neumann": _Kind({}, _half_line, _zero),
-    "obstacle": _Kind({"level": 1.0}, lambda p: (-p[0], p[0]), _zero),
+    "zero": _Kind({}, _LINE, _FLAT),
+    "linear": _Kind({"slope": 1.0}, _LINE, lambda p: (p[0], 2.0)),
+    "power": _Kind(_POWER, _LINE, lambda p: p),
+    "dirichlet": _Kind({}, _fixed(0.0, 0.0), _FLAT),
+    "extended_power": _Kind(_POWER, _HALF_LINE, lambda p: p),
+    "extended_neumann": _Kind({}, _HALF_LINE, _FLAT),
+    "obstacle": _Kind({"level": 1.0}, lambda p: (-p[0], p[0]), _FLAT),
 }
 
 
@@ -143,9 +139,20 @@ class MonotoneGraph:
     def contains(self, r: float) -> bool:
         return self.domain_lo <= r <= self.domain_hi
 
+    @property
+    def law(self) -> tuple[float, float]:
+        """(coef, q) of the power law coef * sign(r) * |r|^(q-1) that the
+        selection follows on the domain."""
+        return KINDS[self.kind].law(self.params)
+
     def g(self, r):
-        """Selection value(s); accepts scalars or arrays."""
-        return KINDS[self.kind].g(np.asarray(r, dtype=float), self.params)
+        """Selection value(s), the power law at r clipped to the domain (+0.0
+        where coef is 0); accepts scalars or arrays."""
+        coef, q = self.law
+        x = np.clip(np.asarray(r, dtype=float), self.domain_lo, self.domain_hi)
+        if coef == 0.0:
+            return np.zeros_like(x)
+        return coef * np.sign(x) * np.abs(x) ** (q - 1.0)
 
     def to_dict(self) -> dict:
         """The graph as a scenario file writes it: kind and params by JSON name."""
@@ -190,23 +197,18 @@ def obstacle_graph(level: float) -> MonotoneGraph:
 # ---------------------------------------------------------------------------
 
 
-def _value_bounds(G: MonotoneGraph, r: float) -> tuple[float, float]:
-    """(inf, sup) of gamma(r) for r in the closed domain; a finite endpoint
-    carries its vertical segment."""
+def eval_graph(G: MonotoneGraph, r: float) -> tuple[float, float] | None:
+    """Value set gamma(r) as a closed interval (vmin, vmax), or None if empty.
+
+    A finite endpoint of the domain carries its vertical segment, so an
+    endpoint of the value set may be infinite there.
+    """
+    if not G.contains(r):
+        return None
     g = float(G.g(r))
     lo = -math.inf if r == G.domain_lo > -math.inf else g
     hi = math.inf if r == G.domain_hi < math.inf else g
     return lo, hi
-
-
-def eval_graph(G: MonotoneGraph, r: float) -> tuple[float, float] | None:
-    """Value set gamma(r) as a closed interval (vmin, vmax), or None if empty.
-
-    Endpoints may be infinite when a vertical segment is attached.
-    """
-    if not G.contains(r):
-        return None
-    return _value_bounds(G, r)
 
 
 # ---------------------------------------------------------------------------
@@ -266,36 +268,42 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
 def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndarray:
     """Solve xi + sum_j beta_j * xi^(q_j-1) = t for xi >= 0, elementwise (t >= 0).
 
-    Newton from xi = min(t, min_j (t / beta_j)^(1/(q_j-1))) inside the
-    bracket [0, xi], which holds the root; there no term exceeds t.  A term
-    with q > 2 is evaluated as (b * xi)^(q-1), b = beta^(1/(q-1)), so that it
-    does not overflow where xi^(q-1) alone would (a tiny beta, xi near the
-    largest float).  A step that leaves the current bracket or lands on 0
-    (terms with q < 2 have unbounded slope there) is replaced by bisection
-    of the bracket.  Stops on a step of BISECT_TOL relative to xi.
+    Newton from xi = min(t, min_j (t / beta_j)^(1/(q_j-1))), above the root;
+    there no term exceeds t.  A term with q > 2 is evaluated as
+    (b * xi)^(q-1), b = beta^(1/(q-1)), so that it does not overflow where
+    xi^(q-1) alone would (a tiny beta, xi near the largest float).  When
+    every q exceeds 2 the sum is convex and Newton descends to the root from
+    above, so it needs no safeguard.  Otherwise the iterates bracket the
+    root, and a step that leaves the current bracket or lands on 0 (terms
+    with q < 2 have unbounded slope there) is replaced by bisection of the
+    bracket.  Stops on a step of NEWTON_TOL relative to xi.
     """
-    lo = np.zeros_like(t)
     hi = t.copy()
     with np.errstate(over="ignore"):  # an overflowed candidate is not the min
         for beta, q in powers:
             hi = np.minimum(hi, (t / beta) ** (1.0 / (q - 1.0)))
-    # beta * xi^(q-1) as a * (b * xi)^e; b = 1 for q < 2, where beta^(1/(q-1)) may overflow
-    terms = [(1.0, beta ** (1.0 / (q - 1.0)), q - 1.0) if q > 2.0 else (beta, 1.0, q - 1.0)
-             for beta, q in powers]
+    # beta * xi^(q-1) as a * (b * xi)^(q-1) = ab * xi * s, s = (b * xi)^(q-2),
+    # with slope ab * (q-1) * s; b = 1 for q < 2, where beta^(1/(q-1)) may overflow
+    terms = [(b, q - 2.0, ab, ab * (q - 1.0)) for beta, q in powers
+             for b, ab in [(beta ** (1.0 / (q - 1.0)),) * 2 if q > 2.0 else (1.0, beta)]]
+    convex = all(q > 2.0 for _, q in powers)
+    lo = np.zeros_like(t)
     xi = hi.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(BISECT_MAX_ITER):
+        for _ in range(NEWTON_MAX_ITER):
             f = xi - t
-            df = np.ones_like(xi)
-            for a, b, e in terms:
-                f += a * (b * xi) ** e
-                df += a * e * b * (b * xi) ** (e - 1.0)
-            lo = np.where(f <= 0.0, xi, lo)
-            hi = np.where(f >= 0.0, xi, hi)
+            df = 1.0
+            for b, e, ab, c in terms:
+                s = (b * xi) ** e
+                f += ab * xi * s
+                df = df + c * s
             xi_new = xi - f / df
-            inside = (xi_new >= lo) & (xi_new <= hi) & (xi_new > 0.0)
-            xi_new = np.where(inside, xi_new, 0.5 * (lo + hi))
-            done = np.all(np.abs(xi_new - xi) <= BISECT_TOL * xi)
+            if not convex:
+                np.copyto(lo, xi, where=f <= 0.0)
+                np.copyto(hi, xi, where=f >= 0.0)
+                inside = (xi_new >= lo) & (xi_new <= hi) & (xi_new > 0.0)
+                xi_new = np.where(inside, xi_new, 0.5 * (lo + hi))
+            done = (np.abs(xi_new - xi) <= NEWTON_TOL * xi).all()
             xi = xi_new
             if done:
                 break
@@ -309,8 +317,9 @@ class ResolventPlan:
     ``resolve_terms`` and ``resolvent_slope``, which then use it as it is.
 
     The sum is split into its common domain [lo, hi], its linear
-    coefficient ``linear`` = sum_i w_i * slope_i (a power term with q = 2
-    is linear), and its power part ``powers`` = {q: sum_i w_i * alpha_i}.
+    coefficient ``linear`` = sum_i w_i * coef_i over the laws with q = 2,
+    and its power part ``powers`` = {q: sum_i w_i * coef_i} over the others,
+    each read from a term's ``law`` (coef_i, q_i).
     ``at(s)`` is the plan of the same sum with every weight multiplied by
     s, made by rescaling these scalars only; a term whose weight s * w
     rounds to 0 is absent there, as in ``_merge_terms``, but its domain
@@ -335,12 +344,11 @@ class ResolventPlan:
         linear = 0.0
         powers: dict[float, float] = {}
         for w, G in self.terms:
-            power = G.kind in ("power", "extended_power")
-            if G.kind == "linear" or power and G.params[1] == 2.0:  # alpha * x^(2-1) is linear
-                linear += w * G.params[0]
-            elif power and w * G.params[0] > 0.0:
-                alpha, q = G.params
-                powers[q] = powers.get(q, 0.0) + w * alpha
+            coef, q = G.law
+            if q == 2.0:  # coef * x^(2-1) is linear
+                linear += w * coef
+            elif w * coef > 0.0:
+                powers[q] = powers.get(q, 0.0) + w * coef
         self._split(linear, powers)
 
     def _split(self, linear: float, powers: dict[float, float]) -> None:
@@ -467,54 +475,76 @@ class DominationVerdict:
         return self.status == "holds"
 
 
-def _sample_domain(G: MonotoneGraph, span: float, n: int) -> np.ndarray:
-    lo = max(G.domain_lo, -span)
-    hi = min(G.domain_hi, span)
-    if lo > hi:  # window missed the domain; fall back to the nearest endpoint
-        lo = hi = G.domain_lo if G.domain_lo > span else G.domain_hi
-    pts = [np.linspace(lo, hi, n)]
-    for end in (G.domain_lo, G.domain_hi):
-        if math.isfinite(end):
-            pts.append(np.asarray([end]))
-    return np.unique(np.concatenate(pts))
+def _witness(G1: MonotoneGraph, G2: MonotoneGraph, r1: float, r2: float) -> tuple | None:
+    """(r1, r2, inf gamma1(r1), sup gamma2(r2)) if these floats show
+    sup gamma2(r2) > inf gamma1(r1) with neither selection overflowing."""
+    with np.errstate(over="ignore"):
+        inf1, sup2 = eval_graph(G1, r1)[0], eval_graph(G2, r2)[1]
+        finite = np.isfinite(G1.g(r1)) and np.isfinite(G2.g(r2))
+    return (r1, r2, inf1, sup2) if finite and sup2 > inf1 else None
+
+
+def _law_witness(G1, G2, side, reach, a_u, q_u, a_l, q_l) -> tuple | None:
+    """A witness on the half-line of sign ``side`` where the lower law
+    a_l s^(q_l-1) exceeds the upper one a_u s^(q_u-1) at s = |r| in
+    (0, reach]: where it is twice as large, 2^(1/(q_l - q_u)) past the
+    crossover r* = (a_l / a_u)^(1/(q_u - q_l)), else at 2 r* or r* / 2 or at
+    s = 1, whichever lies on the failing side and in the floats; at s = 1
+    (or reach) if it fails everywhere."""
+    logs = [0.0]
+    if a_u > 0.0 and q_u != q_l:
+        log_cross = (math.log2(a_l) - math.log2(a_u)) / (q_u - q_l)
+        d = 1.0 / (q_l - q_u)
+        logs = [v for v in (log_cross + d, log_cross + math.copysign(1.0, d), 0.0)
+                if (v - log_cross) * d > 0.0 and -1074.0 <= v < 1024.0]
+    for v in logs:
+        s_up = min(math.nextafter(2.0**v, math.inf), reach)  # the upper law at s_up
+        s = math.nextafter(s_up, 0.0)
+        w = _witness(G1, G2, *((s_up, s) if side > 0 else (-s, -s_up)))
+        if w is not None:
+            return w
+    return None
 
 
 def dominates(
-    G1: MonotoneGraph,
-    G2: MonotoneGraph,
-    modes: Sequence[str] = ("i", "iii", "ii"),
-    tol: float = 1e-9,
+    G1: MonotoneGraph, G2: MonotoneGraph, modes: Sequence[str] = ("i", "iii", "ii")
 ) -> DominationVerdict:
     """Check whether the pair (G1, G2) satisfies one of the ordering modes.
 
     (i)   the graphs are equal (the same kind and params);
     (iii) sup D(G1) <= inf D(G2) (disjoint/touching domains, G1 below G2);
     (ii)  sup gamma2(r2) <= inf gamma1(r1) whenever r1 > r2 in the
-          respective domains (checked on a sample grid).
+          respective domains.
+
+    Mode (ii) is decided in closed form on the whole domains.  It fails if
+    D2 reaches below a finite inf D1 (the segment of gamma1 there reaches
+    down to -inf) or if a finite sup D2 lies below sup D1 (the segment of
+    gamma2 reaches up to +inf).  Otherwise it holds exactly when
+    gamma2 <= gamma1 on J = (inf D2, sup D1], where both follow their power
+    laws (``MonotoneGraph.law``).  Every domain holds 0, and a graph whose
+    coef is not 0 lives on R or [0, inf), so on each half-line of J either
+    one law is 0 there or J covers the whole half-line; the verdict then
+    compares the coefs' signs, the q's, and the coefs when the q's are equal.
+    The witness (r1, r2, inf1, sup2) is placed with the crossover of the two
+    laws and is None when no pair of floats shows the failure (it lies
+    beyond the largest float, or the laws differ at rounding level).
     """
-    span, count = 50.0, 201  # sampling window (-span, span) and points per graph
     if "i" in modes and G1 == G2:
         return DominationVerdict("holds", "i")
-
-    if "iii" in modes and G1.domain_hi <= G2.domain_lo:
+    lo1, hi1 = G1.domain_lo, G1.domain_hi
+    lo2, hi2 = G2.domain_lo, G2.domain_hi
+    if "iii" in modes and hi1 <= lo2:
         return DominationVerdict("holds", "iii")
-
     if "ii" not in modes:
         return DominationVerdict("fails")
-
-    r1s = _sample_domain(G1, span, count)
-    r2s = _sample_domain(G2, span, count)
-    inf1 = np.array([_value_bounds(G1, float(r))[0] for r in r1s])
-    sup2 = np.array([_value_bounds(G2, float(r))[1] for r in r2s])
-    # monotone running max of sup2 over r2 < r1
-    run_max = np.maximum.accumulate(sup2)
-    pos = np.searchsorted(r2s, r1s, side="left") - 1  # last r2 strictly below r1
-    for i, j in enumerate(pos):
-        if j < 0:
-            continue
-        if sup2[j] > inf1[i] + tol or run_max[j] > inf1[i] + tol:
-            k = int(np.argmax(sup2[: j + 1]))
-            return DominationVerdict(
-                "fails", None, (float(r1s[i]), float(r2s[k]), float(inf1[i]), float(sup2[k]))
-            )
+    if lo2 < lo1 or hi2 < hi1:  # gamma1(lo1) reaches down to -inf, or gamma2(hi2) up to +inf
+        r1, r2 = ((lo1, max(lo2, min(lo1 - 1.0, math.nextafter(lo1, -math.inf)))) if lo2 < lo1
+                  else (min(hi1, max(hi2 + 1.0, math.nextafter(hi2, math.inf))), hi2))
+        return DominationVerdict("fails", None, _witness(G1, G2, r1, r2))
+    # gamma2 <= gamma1 reads a2 s^(q2-1) <= a1 s^(q1-1) at r = s in (0, hi1]
+    # and a1 s^(q1-1) <= a2 s^(q2-1) at r = -s, s in (0, -lo2)
+    for side, reach, upper, lower in ((1.0, hi1, G1.law, G2.law), (-1.0, -lo2, G2.law, G1.law)):
+        (a_u, q_u), (a_l, q_l) = upper, lower
+        if reach > 0.0 and a_l > 0.0 and (a_u == 0.0 or q_u != q_l or a_l > a_u):
+            return DominationVerdict("fails", None, _law_witness(G1, G2, side, reach, *upper, *lower))
     return DominationVerdict("holds", "ii")

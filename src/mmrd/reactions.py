@@ -170,8 +170,16 @@ def _power_or_inf(base: float, exponent: float) -> float:
 
 
 def ell(F: Reaction, r: float) -> float:
-    """Growth envelope r + sup{|F(tau)| : |tau|_inf <= r}; inf when it
-    overflows."""
+    """Growth envelope of F at the state radius r; inf when it overflows.
+
+    * ``zero``: r;
+    * ``power(p)``: r + r^(p-1), which is r + sup{|F(tau)| : |tau| <= r};
+    * ``nuclear(a, b)``: a*r + r^2, the sum of the one-sided bounds
+      F1 = u1*u2 - b*u1 <= r^2 and F2 = a*u1 <= a*r on the nonnegative part
+      of the box |U|_inf <= r, where these systems' solutions live; it is
+      neither r + sup|F| on the box (no r term, and b is not used) nor a
+      bound on |F1| there.
+    """
     if r < 0:
         raise ConfigurationError(f"ell needs r >= 0, got {r}")
     if F.kind == "zero":

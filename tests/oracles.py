@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's solution paths: the resolvent oracle
 is a plain scalar bisection (the library uses closed forms and Newton steps
-for the built-in kinds), so agreement is a genuine cross-check.  They read
-only a graph's kind and params, and take its domain, selection and value
-set from their own closed form per kind, not from the library's table.
+for the built-in kinds), and the domination oracle checks the definition on
+a grid (the library decides it in closed form), so agreement is a genuine
+cross-check.  They read only a graph's kind and params, and take its
+domain, selection and value set from their own closed form per kind, not
+from the library's table.
 The reaction oracles evaluate F from its kind and params by their own
 formulas, and sample it on dense grids (order excess, finite-difference
 partials), where the library decides each check in closed form.
@@ -13,6 +15,7 @@ partials), where the library decides each check in closed form.
 from __future__ import annotations
 
 import math
+import struct
 
 
 def _oracle_domain(G):
@@ -36,6 +39,41 @@ def _oracle_g(G, x):
     return 0.0  # zero, dirichlet, extended_neumann, obstacle
 
 
+def _float_order(x):
+    """An integer key of the float x, increasing with x (0.0 and -0.0 share 0)."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _from_float_order(k):
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
+
+
+def _bisect(h, r, lo, hi, tol, max_iter):
+    """x with h(x) = r for nondecreasing h on [lo, hi] (a finite end is a
+    bracket as it is): grow the infinite ends to a bracket [a, b], then
+    halve it in float order, the midpoint halving the count of floats in
+    between, so that a root of any size, down to the smallest subnormal, is
+    reached in about 64 halvings.  Stops when b - a <= tol or a and b are
+    adjacent floats."""
+    a = lo if math.isfinite(lo) else min(r, 0.0)
+    while h(a) > r:
+        a = a - max(1.0, abs(a))
+    b = hi if math.isfinite(hi) else max(r, 0.0)
+    while h(b) < r:
+        b = b + max(1.0, abs(b))
+    for _ in range(max_iter):
+        ka, kb = _float_order(a), _float_order(b)
+        if b - a <= tol or kb - ka <= 1:
+            break
+        mid = _from_float_order((ka + kb) // 2)
+        if h(mid) > r:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
 def oracle_resolvent(G, lam, r, tol=1e-13, max_iter=400):
     """Scalar bisection on x + lam*g(x) = r with endpoint-segment capture."""
     lo, hi = _oracle_domain(G)
@@ -47,23 +85,7 @@ def oracle_resolvent(G, lam, r, tol=1e-13, max_iter=400):
         return lo
     if math.isfinite(hi) and r >= h(hi):
         return hi
-    a = lo if math.isfinite(lo) else min(r, 0.0)
-    while h(a) > r:
-        a = a - max(1.0, abs(a))
-    b = hi if math.isfinite(hi) else max(r, 0.0)
-    while h(b) < r:
-        b = b + max(1.0, abs(b))
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if h(mid) > r:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return _bisect(h, r, lo, hi, tol, max_iter)
 
 
 def _oracle_bounds(G, x):
@@ -96,23 +118,32 @@ def oracle_resolve_terms(terms, r, tol=1e-13, max_iter=400):
         return lo
     if math.isfinite(hi) and r >= inf_at(hi):
         return hi
-    a = lo if math.isfinite(lo) else min(r, 0.0)
-    while h(a) > r:
-        a = a - max(1.0, abs(a))
-    b = hi if math.isfinite(hi) else max(r, 0.0)
-    while h(b) < r:
-        b = b + max(1.0, abs(b))
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if h(mid) > r:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return _bisect(h, r, lo, hi, tol, max_iter)
+
+
+def oracle_dominates(G1, G2):
+    """A pair (r1, r2) with r1 > r2 in the domains and
+    sup gamma2(r2) > inf gamma1(r1), or None if there is none on the grid:
+    0, +-10^k for k from -12 to 12 in steps of 1/8, each finite domain
+    endpoint, and the next float above each of these, so that the grid
+    holds pairs as close as floats allow."""
+    base = [0.0] + [s * 10.0 ** (k / 8.0) for k in range(-96, 97) for s in (1.0, -1.0)]
+    base += [e for G in (G1, G2) for e in _oracle_domain(G) if math.isfinite(e)]
+    grid = sorted({x for b in base for x in (b, math.nextafter(b, math.inf))})
+    r2s = [x for x in grid if _oracle_domain(G2)[0] <= x <= _oracle_domain(G2)[1]]
+    best = None  # (sup gamma2, r2) largest so far over r2 < r1
+    i = 0
+    for r1 in grid:
+        if not _oracle_domain(G1)[0] <= r1 <= _oracle_domain(G1)[1]:
+            continue
+        while i < len(r2s) and r2s[i] < r1:
+            sup2 = _oracle_bounds(G2, r2s[i])[1]
+            if best is None or sup2 > best[0]:
+                best = (sup2, r2s[i])
+            i += 1
+        if best is not None and best[0] > _oracle_bounds(G1, r1)[0]:
+            return r1, best[1]
+    return None
 
 
 def oracle_step_residual(P, S, dt, U):

@@ -229,6 +229,24 @@ def test_cli_compare_assumption_failure_exit_4(tmp_path):
     assert "assumptions FAIL" in (tmp_path / "out" / "compare_report.txt").read_text()
 
 
+def test_cli_compare_boundary_power_laws_out_of_order_exit_4(tmp_path):
+    # the super's boundary law 1.01 u|u| lies above the sub's u|u| for every
+    # u > 0, so A3 fails (a sampled check passed it, and the run exited 0)
+    obj = scenario_to_dict(make_preset("Pp_power", n=21, t_end=0.02))
+    obj["components"][0]["boundary_graph"] = {"kind": "power", "alpha": 1.0, "q": 3.0}
+    sup = json.loads(json.dumps(obj))
+    sup["components"][0]["boundary_graph"]["alpha"] = 1.01
+    obj["pair"] = {"scenario": sup}
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["compare", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert code == 4
+    report = (tmp_path / "out" / "compare_report.txt").read_text()
+    assert ("A3 component 1: fails at r1 = 1.0000000000000002 > r2 = 1.0: "
+            "inf gamma1(r1) = 1.0000000000000004 < sup gamma2(r2) = 1.01") in report
+    assert "A2 component 1: mode (i)" in report and "assumptions FAIL" in report
+
+
 def test_cli_compare_reaction_order_failure_exit_4(tmp_path):
     # u|u| <= u^3 fails for u in (0, 1) and u < -1 on the symmetric box
     obj = scenario_to_dict(make_preset("Pp_dirichlet", n=31, t_end=0.01))

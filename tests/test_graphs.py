@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmrd import (
@@ -28,7 +29,7 @@ from mmrd import (
 )
 from mmrd import graphs
 from mmrd.graphs import resolve_terms, resolvent_slope
-from oracles import oracle_resolve_terms, oracle_resolvent
+from oracles import oracle_dominates, oracle_resolve_terms, oracle_resolvent
 
 
 LIBRARY_GRAPHS = {
@@ -213,15 +214,14 @@ def _log_uniform(lo_exp, hi_exp):
     t=st.just(0.0) | _log_uniform(-300, 12) | st.floats(1e-300, 1e12),
 )
 @example(q=1.5, beta=1e6, t=1.01e-10)  # a bracket of 1e-12 absolute gave 4.4e-29, not 1.02e-32
+@example(q=1.1, beta=3.7e-5, t=1e-103)  # a root below 1e-300, which [0, t] halved 400 times missed
 def test_power_root_five_halves_matches_oracle(q, beta, t):
-    # closed forms for q = 5/2 and 3, Newton for the rest.  The root is at
-    # least x0, where each of xi and beta xi^(q-1) is at most t / 2.  The
-    # oracle halves [0, t] at most 400 times: keep x0 a normal float that
-    # 300 halvings of t reach
-    x0 = t / 2.0 if beta == 0.0 else min(t / 2.0, (t / (2.0 * beta)) ** (1.0 / (q - 1.0)))
-    assume(t == 0.0 or x0 >= max(t * 2.0**-300, 1e-305))
+    # closed forms for q = 5/2 and 3, Newton for the rest; the oracle halves
+    # in float order, so it reaches every root, and a root below the
+    # smallest normal float is compared to the accuracy that floats carry there
     got = graphs._power_root(np.array([t]), beta, q)[0]
-    assert got == pytest.approx(_oracle_power_root(t, beta, q), rel=1e-12, abs=0.0)
+    expect = _oracle_power_root(t, beta, q)
+    assert got == pytest.approx(expect, rel=1e-12, abs=sys.float_info.min)
 
 
 @pytest.mark.parametrize("beta", [1e-12, 1e-3, 1.0, 1e6])
@@ -272,38 +272,31 @@ def test_power_sum_root_where_beta_times_t_overflows():
 
 
 class _CountingNumpy:
-    """numpy, counting the calls that the loop of ``_power_sum_root``, where
-    ``_power_root`` sends these q, makes once (``abs``) or three times
-    (``where``) per iteration."""
+    """numpy, counting the calls of ``abs``, which the loop of
+    ``_power_sum_root``, where ``_power_root`` sends these q, makes once per
+    Newton step."""
 
     def __init__(self):
-        self.calls = {"abs": 0, "where": 0}
+        self.steps = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def abs(self, *args):
-        self.calls["abs"] += 1
+        self.steps += 1
         return np.abs(*args)
-
-    def where(self, *args):
-        self.calls["where"] += 1
-        return np.where(*args)
 
 
 @pytest.mark.parametrize("q", [1.5, 1.8, 2.7])
 @pytest.mark.parametrize("t", [1e4, 1e8, 1e12])
 def test_power_root_generic_paths_stop_relative_at_large_t(monkeypatch, q, t):
-    # an absolute stop of BISECT_TOL can never be met once ulp(xi) exceeds it
+    # an absolute stop of NEWTON_TOL can never be met once ulp(xi) exceeds it
     counting = _CountingNumpy()
     monkeypatch.setattr(graphs, "np", counting)
     got = graphs._power_root(np.array([t]), 1.0, q)[0]
     monkeypatch.undo()
     assert got == pytest.approx(_oracle_power_root(t, 1.0, q), rel=1e-12, abs=0.0)
-    if q > 2.0:
-        assert counting.calls["abs"] < 60  # Newton steps
-    else:
-        assert counting.calls["where"] < 2 * graphs.BISECT_MAX_ITER
+    assert counting.steps < 60
 
 
 def test_resolvent_matches_oracle_on_all_kinds():
@@ -566,3 +559,76 @@ def test_dominates_mode_restriction_for_interior_graphs():
     # makes (ii) hold vacuously
     v = dominates(dirichlet_graph(), extended_power_graph(1.0, 2.0), modes=("i", "ii"))
     assert v.holds and v.mode == "ii"
+
+
+# the pairs a 201-point sample on [-50, 50] certified as holding: gamma2 > gamma1
+# for every r > 0 in the first two, and for every r > 1e10 in the third
+SAMPLER_MISSED = [
+    (power_graph(1.0, 3.0), power_graph(1.01, 3.0)),
+    (linear_graph(1.0), linear_graph(1.001)),
+    (extended_power_graph(1.0, 2.5), extended_power_graph(0.1, 2.6)),
+]
+
+
+def _check_witness(G1, G2, witness):
+    r1, r2, inf1, sup2 = witness
+    assert r1 > r2 and G1.contains(r1) and G2.contains(r2)
+    assert inf1 == eval_graph(G1, r1)[0] and sup2 == eval_graph(G2, r2)[1]
+    assert sup2 > inf1
+
+
+@pytest.mark.parametrize("G1, G2", SAMPLER_MISSED)
+def test_dominates_fails_where_the_sampler_missed(G1, G2):
+    v = dominates(G1, G2)
+    assert v.status == "fails" and v.witness is not None
+    _check_witness(G1, G2, v.witness)
+    assert dominates(G2, G1).status == "fails"  # power laws on R are ordered only when equal
+
+
+@pytest.mark.parametrize("G1, G2, status", [
+    (obstacle_graph(1.0), obstacle_graph(1.5), "fails"),  # gamma1(-1) reaches down to -inf
+    (obstacle_graph(1.5), obstacle_graph(1.0), "fails"),  # gamma2(1) reaches up to +inf
+    (extended_power_graph(1.0, 2.0), obstacle_graph(1.0), "fails"),
+    (obstacle_graph(1.0), extended_neumann_graph(), "holds"),  # both 0 on (0, 1]
+    (obstacle_graph(1.0), extended_power_graph(1.0, 2.0), "fails"),
+    (power_graph(1.0, 3.0), extended_power_graph(0.5, 3.0), "holds"),  # on (0, inf) only
+    (power_graph(1.0, 3.0), extended_power_graph(0.5, 2.5), "fails"),
+    (power_graph(2.0, 2.0), linear_graph(2.0), "holds"),  # one law, two kinds
+    (power_graph(1.0, 3.0), zero_graph(), "fails"),  # r < 0: gamma1 < 0 = gamma2
+])
+def test_dominates_mode_ii_by_case(G1, G2, status):
+    v = dominates(G1, G2, modes=("ii",))
+    assert v.status == status and (v.mode == "ii") == (status == "holds")
+    if v.witness is not None:
+        _check_witness(G1, G2, v.witness)
+    assert (oracle_dominates(G1, G2) is None) == (status == "holds")
+
+
+def test_dominates_witness_beyond_the_largest_float_is_none():
+    # gamma2 > gamma1 only above r* = 1e400
+    v = dominates(extended_power_graph(1.0, 2.5), extended_power_graph(1e-40, 2.6))
+    assert v.status == "fails" and v.witness is None
+
+
+_COEF = st.sampled_from([0.0, 0.1, 1.0, 1.01, 2.0]) | st.floats(0.0, 10.0)
+_Q = st.sampled_from([1.5, 2.0, 2.5, 2.6, 3.0]) | st.floats(1.1, 4.0)
+_GRAPHS = st.one_of(
+    st.sampled_from([zero_graph(), dirichlet_graph(), extended_neumann_graph()]),
+    st.builds(linear_graph, _COEF),
+    st.builds(power_graph, _COEF, _Q),
+    st.builds(extended_power_graph, _COEF, _Q),
+    st.builds(obstacle_graph, st.sampled_from([0.5, 1.0, 2.0]) | st.floats(1e-3, 1e3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(G1=_GRAPHS, G2=_GRAPHS)
+@example(G1=SAMPLER_MISSED[0][0], G2=SAMPLER_MISSED[0][1])
+@example(G1=SAMPLER_MISSED[1][0], G2=SAMPLER_MISSED[1][1])
+@example(G1=SAMPLER_MISSED[2][0], G2=SAMPLER_MISSED[2][1])
+def test_dominates_fails_wherever_the_oracle_finds_a_violation(G1, G2):
+    v = dominates(G1, G2)
+    if oracle_dominates(G1, G2) is not None:
+        assert not v.holds
+    if v.witness is not None:
+        _check_witness(G1, G2, v.witness)

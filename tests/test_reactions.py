@@ -130,6 +130,18 @@ def test_ell_closed_forms():
     assert ell(zero_reaction(), 5.0) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("a, b, r", [(0.0, 1.0, 1.0), (1.0, 1.0, 3.0), (2.5, 0.01, 0.4), (0.7, 1.3, 40.0)])
+def test_ell_nuclear_is_the_one_sided_bound_on_the_orthant(a, b, r):
+    # a r + r^2, exactly: F1 <= r^2 and F2 <= a r on [0, r]^2, with no r term
+    # and no b, which r + sup|F| on the box (3 at a = 0, b = r = 1) would have
+    F = nuclear_reaction(a, b)
+    assert ell(F, r) == a * r + r * r
+    u = np.linspace(0.0, r, 41)
+    U = np.stack([np.repeat(u, u.size), np.tile(u, u.size)])
+    F1, F2 = eval_reaction(F, U)
+    assert F1.max() <= r * r and F2.max() <= a * r
+
+
 def test_ell_and_lipschitz_bound_overflow_to_inf():
     F = power_reaction(3.0)
     assert ell(F, 1e300) == math.inf
