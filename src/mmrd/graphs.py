@@ -268,40 +268,39 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
 def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndarray:
     """Solve xi + sum_j beta_j * xi^(q_j-1) = t for xi >= 0, elementwise (t >= 0).
 
-    Newton from xi = min(t, min_j (t / beta_j)^(1/(q_j-1))), above the root;
-    there no term exceeds t.  A term with q > 2 is evaluated as
-    (b * xi)^(q-1), b = beta^(1/(q-1)), so that it does not overflow where
-    xi^(q-1) alone would (a tiny beta, xi near the largest float).  When
-    every q exceeds 2 the sum is convex and Newton descends to the root from
-    above, so it needs no safeguard.  Otherwise the iterates bracket the
-    root, and a step that leaves the current bracket or lands on 0 (terms
-    with q < 2 have unbounded slope there) is replaced by bisection of the
-    bracket.  Stops on a step of NEWTON_TOL relative to xi.
+    Newton from xi = min(t, min_j (t / beta_j)^(1/(q_j-1))) inside the
+    bracket [0, xi], which holds the root; there no term exceeds t.  A term
+    with q > 2 is evaluated as (b * xi)^(q-1), b = beta^(1/(q-1)), so that it
+    does not overflow where xi^(q-1) alone would (a tiny beta, xi near the
+    largest float).  A step that leaves the current bracket is replaced by
+    bisection of the bracket; so is the step from xi = 0, where a term with
+    q < 2 has unbounded slope and the sum is NaN.  Stops on a step of
+    NEWTON_TOL relative to xi.
     """
     hi = t.copy()
     with np.errstate(over="ignore"):  # an overflowed candidate is not the min
         for beta, q in powers:
             hi = np.minimum(hi, (t / beta) ** (1.0 / (q - 1.0)))
-    # beta * xi^(q-1) as a * (b * xi)^(q-1) = ab * xi * s, s = (b * xi)^(q-2),
-    # with slope ab * (q-1) * s; b = 1 for q < 2, where beta^(1/(q-1)) may overflow
-    terms = [(b, q - 2.0, ab, ab * (q - 1.0)) for beta, q in powers
-             for b, ab in [(beta ** (1.0 / (q - 1.0)),) * 2 if q > 2.0 else (1.0, beta)]]
-    convex = all(q > 2.0 for _, q in powers)
+    # beta * xi^(q-1) as a * ((b * xi) * s), s = (b * xi)^(q-2), with slope
+    # a * b * (q-1) * s; a = 1 for q > 2, b = 1 for q < 2, where
+    # beta^(1/(q-1)) may overflow, so no factor exceeds t below hi
+    terms = [(1.0, beta ** (1.0 / (q - 1.0)), q - 2.0) if q > 2.0 else (beta, 1.0, q - 2.0)
+             for beta, q in powers]
     lo = np.zeros_like(t)
     xi = hi.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            f = xi - t
-            df = 1.0
-            for b, e, ab, c in terms:
-                s = (b * xi) ** e
-                f += ab * xi * s
-                df = df + c * s
+            f, df = xi - t, 1.0
+            for a, b, e in terms:
+                bx = b * xi
+                s = bx ** e
+                f += a * (bx * s)
+                df = df + a * b * (e + 1.0) * s
+            np.copyto(lo, xi, where=f <= 0.0)
+            np.copyto(hi, xi, where=f >= 0.0)
             xi_new = xi - f / df
-            if not convex:
-                np.copyto(lo, xi, where=f <= 0.0)
-                np.copyto(hi, xi, where=f >= 0.0)
-                inside = (xi_new >= lo) & (xi_new <= hi) & (xi_new > 0.0)
+            inside = (xi_new >= lo) & (xi_new <= hi)
+            if not inside.all():
                 xi_new = np.where(inside, xi_new, 0.5 * (lo + hi))
             done = (np.abs(xi_new - xi) <= NEWTON_TOL * xi).all()
             xi = xi_new
@@ -488,14 +487,16 @@ def _law_witness(G1, G2, side, reach, a_u, q_u, a_l, q_l) -> tuple | None:
     """A witness on the half-line of sign ``side`` where the lower law
     a_l s^(q_l-1) exceeds the upper one a_u s^(q_u-1) at s = |r| in
     (0, reach]: where it is twice as large, 2^(1/(q_l - q_u)) past the
-    crossover r* = (a_l / a_u)^(1/(q_u - q_l)), else at 2 r* or r* / 2 or at
-    s = 1, whichever lies on the failing side and in the floats; at s = 1
-    (or reach) if it fails everywhere."""
+    crossover r* = (a_l / a_u)^(1/(q_u - q_l)), else at 2 r* or r* / 2, at
+    s = 1, or where the lower law is 2^+-1022, the farthest from r* that it
+    stays normal, whichever lies on the failing side and in the floats; at
+    s = 1 (or reach) if it fails everywhere."""
     logs = [0.0]
     if a_u > 0.0 and q_u != q_l:
         log_cross = (math.log2(a_l) - math.log2(a_u)) / (q_u - q_l)
         d = 1.0 / (q_l - q_u)
-        logs = [v for v in (log_cross + d, log_cross + math.copysign(1.0, d), 0.0)
+        far = min(max((math.copysign(1022.0, d) - math.log2(a_l)) / (q_l - 1.0), -1074.0), 1023.0)
+        logs = [v for v in (log_cross + d, log_cross + math.copysign(1.0, d), 0.0, far)
                 if (v - log_cross) * d > 0.0 and -1074.0 <= v < 1024.0]
     for v in logs:
         s_up = min(math.nextafter(2.0**v, math.inf), reach)  # the upper law at s_up
@@ -526,8 +527,9 @@ def dominates(
     one law is 0 there or J covers the whole half-line; the verdict then
     compares the coefs' signs, the q's, and the coefs when the q's are equal.
     The witness (r1, r2, inf1, sup2) is placed with the crossover of the two
-    laws and is None when no pair of floats shows the failure (it lies
-    beyond the largest float, or the laws differ at rounding level).
+    laws, on either failing half-line, and is None when no pair of floats
+    shows the failure with normal values (it lies beyond the floats, or
+    only values below the smallest normal float show it).
     """
     if "i" in modes and G1 == G2:
         return DominationVerdict("holds", "i")
@@ -543,8 +545,9 @@ def dominates(
         return DominationVerdict("fails", None, _witness(G1, G2, r1, r2))
     # gamma2 <= gamma1 reads a2 s^(q2-1) <= a1 s^(q1-1) at r = s in (0, hi1]
     # and a1 s^(q1-1) <= a2 s^(q2-1) at r = -s, s in (0, -lo2)
-    for side, reach, upper, lower in ((1.0, hi1, G1.law, G2.law), (-1.0, -lo2, G2.law, G1.law)):
-        (a_u, q_u), (a_l, q_l) = upper, lower
-        if reach > 0.0 and a_l > 0.0 and (a_u == 0.0 or q_u != q_l or a_l > a_u):
-            return DominationVerdict("fails", None, _law_witness(G1, G2, side, reach, *upper, *lower))
-    return DominationVerdict("holds", "ii")
+    failing = [(side, reach, a_u, q_u, a_l, q_l) for side, reach, (a_u, q_u), (a_l, q_l)
+               in ((1.0, hi1, G1.law, G2.law), (-1.0, -lo2, G2.law, G1.law))
+               if reach > 0.0 and a_l > 0.0 and (a_u == 0.0 or q_u != q_l or a_l > a_u)]
+    # one half-line may fail only beyond the floats while the other shows it
+    witness = next(filter(None, (_law_witness(G1, G2, *half_line) for half_line in failing)), None)
+    return DominationVerdict("fails", None, witness) if failing else DominationVerdict("holds", "ii")

@@ -55,7 +55,8 @@ def _bisect(h, r, lo, hi, tol, max_iter):
     halve it in float order, the midpoint halving the count of floats in
     between, so that a root of any size, down to the smallest subnormal, is
     reached in about 64 halvings.  Stops when b - a <= tol or a and b are
-    adjacent floats."""
+    adjacent floats, and returns their midpoint, formed so that it does not
+    overflow near the largest float."""
     a = lo if math.isfinite(lo) else min(r, 0.0)
     while h(a) > r:
         a = a - max(1.0, abs(a))
@@ -71,7 +72,7 @@ def _bisect(h, r, lo, hi, tol, max_iter):
             b = mid
         else:
             a = mid
-    return 0.5 * (a + b)
+    return a + 0.5 * (b - a)
 
 
 def oracle_resolvent(G, lam, r, tol=1e-13, max_iter=400):
@@ -144,6 +145,36 @@ def oracle_dominates(G1, G2):
         if best is not None and best[0] > _oracle_bounds(G1, r1)[0]:
             return r1, best[1]
     return None
+
+
+def _oracle_log_g(G, L):
+    """ln |gamma(r)| at |r| = e^L by the formulas of ``_oracle_g`` taken in
+    log space, so that |r| may lie beyond the floats; -inf where gamma is 0."""
+    if G.kind == "linear":
+        coef, e = G.params[0], 1.0
+    elif G.kind in ("power", "extended_power"):
+        coef, e = G.params[0], G.params[1] - 1.0
+    else:
+        return -math.inf
+    return math.log(coef) + e * L if coef > 0.0 else -math.inf
+
+
+def oracle_fails_beyond_floats(G1, G2, L=1e300):
+    """True if sup gamma2(r) > inf gamma1(r) at some r = +-e^(+-L) inside
+    both domains, evaluated in log space; there gamma1 and gamma2 are
+    continuous, so r1 a little above r2 = r breaks the definition too.
+    At L = 1e300 every difference of the exponents q, down to one ulp,
+    outweighs any ratio of the coefs."""
+    (lo1, hi1), (lo2, hi2) = _oracle_domain(G1), _oracle_domain(G2)
+    for ln_s in (L, -L):
+        far = ln_s > 0.0  # |r| beyond every finite domain endpoint
+        if (hi1 == hi2 == math.inf) if far else min(hi1, hi2) > 0.0:
+            if _oracle_log_g(G2, ln_s) > _oracle_log_g(G1, ln_s):  # gamma2(s) > gamma1(s) >= 0
+                return True
+        if (lo1 == lo2 == -math.inf) if far else max(lo1, lo2) < 0.0:
+            if _oracle_log_g(G1, ln_s) > _oracle_log_g(G2, ln_s):  # gamma2(-s) > gamma1(-s)
+                return True
+    return False
 
 
 def oracle_step_residual(P, S, dt, U):

@@ -29,7 +29,12 @@ from mmrd import (
 )
 from mmrd import graphs
 from mmrd.graphs import resolve_terms, resolvent_slope
-from oracles import oracle_dominates, oracle_resolve_terms, oracle_resolvent
+from oracles import (
+    oracle_dominates,
+    oracle_fails_beyond_floats,
+    oracle_resolve_terms,
+    oracle_resolvent,
+)
 
 
 LIBRARY_GRAPHS = {
@@ -260,6 +265,17 @@ def test_power_root_generic_newton_near_the_largest_float():
         warnings.simplefilter("error", RuntimeWarning)
         got = graphs._power_root(np.array([t]), 1e-300, 2.7)[0]
     assert got == pytest.approx(t, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q, beta", [(1.5, 10.0), (1.8, 1e3), (1.1, 1e30)])
+def test_power_root_below_q_two_near_the_largest_float(q, beta):
+    # beta * xi^(q-1) is finite, but beta * xi overflows: the term must not
+    # be formed through the product beta * xi
+    t = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = graphs._power_root(np.array([t]), beta, q)[0]
+    assert got == pytest.approx(_oracle_power_root(t, beta, q), rel=1e-12, abs=0.0)
 
 
 def test_power_sum_root_where_beta_times_t_overflows():
@@ -604,10 +620,14 @@ def test_dominates_mode_ii_by_case(G1, G2, status):
     assert (oracle_dominates(G1, G2) is None) == (status == "holds")
 
 
+BEYOND_FLOATS = (extended_power_graph(1.0, 2.5), extended_power_graph(1e-40, 2.6))
+
+
 def test_dominates_witness_beyond_the_largest_float_is_none():
     # gamma2 > gamma1 only above r* = 1e400
-    v = dominates(extended_power_graph(1.0, 2.5), extended_power_graph(1e-40, 2.6))
+    v = dominates(*BEYOND_FLOATS)
     assert v.status == "fails" and v.witness is None
+    assert oracle_dominates(*BEYOND_FLOATS) is None and oracle_fails_beyond_floats(*BEYOND_FLOATS)
 
 
 _COEF = st.sampled_from([0.0, 0.1, 1.0, 1.01, 2.0]) | st.floats(0.0, 10.0)
@@ -626,9 +646,24 @@ _GRAPHS = st.one_of(
 @example(G1=SAMPLER_MISSED[0][0], G2=SAMPLER_MISSED[0][1])
 @example(G1=SAMPLER_MISSED[1][0], G2=SAMPLER_MISSED[1][1])
 @example(G1=SAMPLER_MISSED[2][0], G2=SAMPLER_MISSED[2][1])
-def test_dominates_fails_wherever_the_oracle_finds_a_violation(G1, G2):
+@example(G1=BEYOND_FLOATS[0], G2=BEYOND_FLOATS[1])
+# r > 0 fails only below 1e-610, r < 0 everywhere: the witness comes from r < 0
+@example(G1=linear_graph(0.1), G2=power_graph(1.9310133905080033e-306, 1.5))
+# exponents one ulp apart: the laws part by more than rounding only far from r* = 1
+@example(G1=power_graph(1.0, 1.1), G2=extended_power_graph(1.0, 1.1000000000000003))
+def test_dominates_fails_exactly_where_the_definition_fails(G1, G2):
+    # a violation on the oracle's grid is a failure, with a witness unless
+    # only subnormal values show it; a witness is a violation; a failure
+    # without one persists beyond the floats, where the oracle sees it in log space
     v = dominates(G1, G2)
-    if oracle_dominates(G1, G2) is not None:
-        assert not v.holds
+    violation = oracle_dominates(G1, G2)
+    if violation is not None:
+        assert v.status == "fails"
+        r1, r2 = violation
+        shown = (eval_graph(G1, r1)[0], eval_graph(G2, r2)[1])
+        if all(y == 0.0 or abs(y) >= sys.float_info.min for y in shown):
+            assert v.witness is not None
     if v.witness is not None:
         _check_witness(G1, G2, v.witness)
+    elif not v.holds:
+        assert oracle_fails_beyond_floats(G1, G2)
