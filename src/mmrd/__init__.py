@@ -36,7 +36,6 @@ from .mesh import Mesh, build_mesh, integrate, positive_part_l2, sup_norm
 from .reactions import (
     Reaction,
     check_order_F,
-    check_sc,
     ell,
     eval_reaction,
     lipschitz_bound,

@@ -72,9 +72,11 @@ def _stamp(scenario: Scenario) -> str:
     return f"# mmrd {__version__} scenario={scenario.data['name'] or 'unnamed'}"
 
 
-def write_csv(traj: Trajectory, path: Path, m: int, stamp: str, nuclear: bool) -> None:
-    """Trajectory CSV: one row per accepted step, y/z columns filled for the
-    two-component coupled system, trailing comment line with the status."""
+def write_csv(traj: Trajectory, path: Path, stamp: str) -> None:
+    """Trajectory CSV: one row per accepted step, one sup-norm column per
+    component, y/z columns filled where ``traj.extras`` holds them (the
+    coupled system's Kaplan moments), trailing comment line with the status."""
+    m = traj.sup_norms.shape[1]
     sup_cols = ",".join(f"supnorm_k{k + 1}" for k in range(m))
     ys = traj.extras.get("y")
     zs = traj.extras.get("z")
@@ -84,8 +86,8 @@ def write_csv(traj: Trajectory, path: Path, m: int, stamp: str, nuclear: bool) -
         n = len(traj.times)
         for i in range(n):
             sups = ",".join(f"{traj.sup_norms[i, k]:.12g}" for k in range(m))
-            y = f"{ys[i]:.12g}" if nuclear and ys is not None else ""
-            z = f"{zs[i]:.12g}" if nuclear and zs is not None else ""
+            y = f"{ys[i]:.12g}" if ys is not None else ""
+            z = f"{zs[i]:.12g}" if zs is not None else ""
             status = traj.status if i == n - 1 else ""
             fh.write(f"{traj.times[i]:.12g},{traj.dts[i]:.12g},{sups},{y},{z},{status}\n")
         verdict = detect_blowup(traj)
@@ -119,9 +121,8 @@ def cmd_run(args) -> int:
     scenario = _load_scenario(args)
     out = _outdir(args)
     problem, tc = build_problem(scenario)
-    nuclear = problem.reaction.kind == "nuclear"
     traj = run(problem, tc, observer=_nuclear_observer(problem))
-    write_csv(traj, out / "trajectory.csv", problem.m, _stamp(scenario), nuclear)
+    write_csv(traj, out / "trajectory.csv", _stamp(scenario))
     verdict = detect_blowup(traj)
     summary = {
         "version": __version__,
@@ -151,29 +152,27 @@ def cmd_compare(args) -> int:
     p_super, _ = build_problem(scenario.pair)
     a3 = scenario.data["pair"]["override_a3"] or args.override_a3
     a4 = scenario.data["pair"]["override_a4"] or args.override_a4
-    report_path = out / "compare_report.txt"
+    stamp = _stamp(scenario)
 
     assumptions = check_assumptions(p_sub, p_super, a3_apriori=a3, a4_apriori=a4)
+    report = assumptions
+    if assumptions.passed:
+        report = run_pair(p_sub, p_super, tc, assumptions=assumptions,
+                          observer=_nuclear_observer(p_sub))
+        write_csv(report.traj_sub, out / "sub_trajectory.csv", stamp)
+        write_csv(report.traj_super, out / "super_trajectory.csv", stamp)
+    lines = report.summary_lines()
+    (out / "compare_report.txt").write_text("\n".join([stamp, *lines]) + "\n", encoding="utf-8")
+    print("\n".join(lines))
+
     if not assumptions.passed:
-        lines = [_stamp(scenario)] + assumptions.summary_lines()
-        report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print("\n".join(assumptions.summary_lines()))
         return EXIT_ASSUMPTIONS
-
-    nuclear = p_sub.reaction.kind == "nuclear"
-    rep = run_pair(p_sub, p_super, tc, assumptions=assumptions,
-                   observer=_nuclear_observer(p_sub))
-    write_csv(rep.traj_sub, out / "sub_trajectory.csv", p_sub.m, _stamp(scenario), nuclear)
-    write_csv(rep.traj_super, out / "super_trajectory.csv", p_super.m, _stamp(scenario), nuclear)
-    lines = [_stamp(scenario)] + rep.summary_lines()
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(rep.summary_lines()))
-
-    if "solver_failure" in (rep.traj_sub.status, rep.traj_super.status):
+    statuses = (report.traj_sub.status, report.traj_super.status)
+    if "solver_failure" in statuses:
         return EXIT_SOLVER
-    if not rep.ordering_ok or not rep.gronwall_ok:
+    if not report.ordering_ok or not report.gronwall_ok:
         return EXIT_ORDER_VIOLATION
-    if "blowup" in (rep.traj_sub.status, rep.traj_super.status):
+    if "blowup" in statuses:
         return EXIT_BLOWUP
     return EXIT_OK
 
@@ -187,15 +186,9 @@ def cmd_eigen(args) -> int:
     path = out / "eigenfunction.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_stamp(scenario) + "\n")
-        if mesh.dim == 1:
-            fh.write("x,phi1\n")
-            for x, v in zip(mesh.axes[0], ep.phi1):
-                fh.write(f"{x:.12g},{v:.12g}\n")
-        else:
-            fh.write("x,y,phi1\n")
-            X, Y = mesh.coords
-            for x, y, v in zip(X.ravel(), Y.ravel(), ep.phi1.ravel()):
-                fh.write(f"{x:.12g},{y:.12g},{v:.12g}\n")
+        fh.write(",".join(["x", "y", "z"][:mesh.dim] + ["phi1"]) + "\n")
+        for row in zip(*(x.ravel() for x in mesh.coords), ep.phi1.ravel()):
+            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

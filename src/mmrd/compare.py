@@ -3,9 +3,10 @@
 ``check_assumptions`` composes the structural checks for a (sub, super)
 problem pair: ordered initial data, dominating interior and boundary graphs
 (``graphs.dominates``, decided in closed form from the graphs' domains and
-power laws), and ordered reactions on the symmetric state box with the
-quasimonotone structure condition, both decided from the reactions' kinds
-and params (``reactions``).  ``run_pair`` then advances
+power laws), and ordered reactions on the symmetric state box, decided from
+the reactions' kinds and params (``reactions``); every kind meets the
+quasimonotone structure condition, so only its bound L_M is computed.
+``run_pair`` then advances
 both problems on a shared time grid, through the same adaptive driver as
 ``stepper.run``, and records the ordering defect
 
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .graphs import DominationVerdict, dominates
 from .mesh import positive_part_l2, sup_norm
-from .reactions import OrderVerdict, ScResult, check_order_F, check_sc, lipschitz_bound
+from .reactions import OrderVerdict, check_order_F, lipschitz_bound
 from .stepper import ProblemSpec, TimeControl, Trajectory, _advance, detect_blowup, run
 
 __all__ = [
@@ -58,12 +59,13 @@ class AssumptionReport:
     a1: initial ordering with the largest violation; a2/a3: per-component
     domination verdicts for interior/boundary graphs, whose report line
     names the witness of a failure; a4: the reaction
-    ordering F1 <= F2 on the symmetric box of radius ``box_radius`` and the
-    structure condition of the sub reaction, whose Lipschitz bound l_m feeds
-    the Gronwall monitor.  Both are decided from the reactions' kinds and
-    params (``reactions`` module docstring): the ordering holds only for
-    equal reactions, and the structure condition always holds.  A-priori
-    override flags skip the corresponding check and are recorded.
+    ordering F1 <= F2 on the symmetric box of radius ``box_radius``, decided
+    from the reactions' kinds and params (``reactions`` module docstring: it
+    holds only for equal reactions), and ``l_m``, the sub reaction's
+    ``lipschitz_bound`` on that box, which feeds the Gronwall monitor (the
+    structure condition holds for every kind).  A-priori override flags skip
+    the corresponding check and are recorded; an overridden A4 leaves both
+    None.  ``box_radius`` is one plus the largest initial sup norm.
     """
 
     a1_ok: bool
@@ -71,7 +73,7 @@ class AssumptionReport:
     a2: tuple[DominationVerdict, ...]
     a3: tuple[DominationVerdict, ...]
     a4_order: OrderVerdict | None
-    a4_sc: ScResult | None
+    l_m: float | None
     box_radius: float
     a3_overridden: bool = False
     a4_overridden: bool = False
@@ -84,7 +86,7 @@ class AssumptionReport:
             return False
         if not self.a3_overridden and not all(v.holds for v in self.a3):
             return False
-        return self.a4_overridden or (self.a4_order.holds and self.a4_sc.ok)
+        return self.a4_overridden or self.a4_order.holds
 
     def summary_lines(self) -> list[str]:
         lines = [f"A1 initial ordering: {'ok' if self.a1_ok else 'FAIL'} "
@@ -102,7 +104,7 @@ class AssumptionReport:
             lines.append("A4: overridden a priori")
         else:
             lines.append(f"A4 reaction ordering: {self.a4_order.status}")
-            lines.append(f"A4 structure condition (sub): ok, L_M = {self.a4_sc.l_m:.6g} "
+            lines.append(f"A4 structure condition (sub): ok, L_M = {self.l_m:.6g} "
                          f"on box {self.box_radius:.3g}")
         lines.append(f"assumptions {'PASS' if self.passed else 'FAIL'}")
         return lines
@@ -111,15 +113,14 @@ class AssumptionReport:
 def check_assumptions(
     P1: ProblemSpec,
     P2: ProblemSpec,
-    box_radius: float | None = None,
     a3_apriori: bool = False,
     a4_apriori: bool = False,
 ) -> AssumptionReport:
     """Verify that (P1 sub, P2 super) satisfies the comparison hypotheses.
 
     The problems must share mesh, component count and diffusion
-    coefficients.  ``box_radius`` bounds the state box for the reaction
-    checks; by default one plus the largest initial sup norm.
+    coefficients.  The state box of the reaction checks has the radius one
+    plus the largest initial sup norm.
     """
     if P1.mesh != P2.mesh:
         raise ConfigurationError("comparison requires a common mesh")
@@ -128,8 +129,7 @@ def check_assumptions(
     if P1.diffusion != P2.diffusion:
         raise ConfigurationError("comparison requires common diffusion coefficients")
 
-    if box_radius is None:
-        box_radius = 1.0 + max(sup_norm(u) for P in (P1, P2) for u in P.initial)
+    box_radius = 1.0 + max(sup_norm(u) for P in (P1, P2) for u in P.initial)
 
     a1_violation = float(np.max(P1.initial - P2.initial))
     a1_ok = a1_violation <= 1e-12
@@ -137,13 +137,13 @@ def check_assumptions(
     a2 = tuple(dominates(G1, G2, modes=("i", "ii")) for G1, G2 in zip(P1.interior, P2.interior))
     a3 = tuple(dominates(G1, G2, modes=("i", "iii", "ii")) for G1, G2 in zip(P1.boundary, P2.boundary))
 
-    a4_order = a4_sc = None
+    a4_order = l_m = None
     if not a4_apriori:
         a4_order = check_order_F(P1.reaction, P2.reaction, box_radius)
-        a4_sc = check_sc(P1.reaction, box_radius)
+        l_m = lipschitz_bound(P1.reaction, box_radius)
 
     return AssumptionReport(
-        a1_ok, max(a1_violation, 0.0), a2, a3, a4_order, a4_sc, box_radius, a3_apriori, a4_apriori,
+        a1_ok, max(a1_violation, 0.0), a2, a3, a4_order, l_m, box_radius, a3_apriori, a4_apriori,
     )
 
 
@@ -255,7 +255,7 @@ def run_pair(
 
     # Gronwall monitor from the earliest sample with positive energy
     smax = float(max(traj1.sup_norms.max(initial=0.0), traj2.sup_norms.max(initial=0.0)))
-    lm = assumptions.a4_sc.l_m if assumptions.a4_sc else None
+    lm = assumptions.l_m
     margins = np.full(len(times), -math.inf)
     start = None
     pos = np.nonzero(energies > 0.0)[0]

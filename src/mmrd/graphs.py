@@ -154,10 +154,6 @@ class MonotoneGraph:
             return np.zeros_like(x)
         return coef * np.sign(x) * np.abs(x) ** (q - 1.0)
 
-    def to_dict(self) -> dict:
-        """The graph as a scenario file writes it: kind and params by JSON name."""
-        return {"kind": self.kind, **dict(zip(KINDS[self.kind].params, self.params))}
-
 
 def zero_graph() -> MonotoneGraph:
     return MonotoneGraph("zero")
@@ -273,9 +269,11 @@ def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndar
     with q > 2 is evaluated as (b * xi)^(q-1), b = beta^(1/(q-1)), so that it
     does not overflow where xi^(q-1) alone would (a tiny beta, xi near the
     largest float).  A step that leaves the current bracket is replaced by
-    bisection of the bracket; so is the step from xi = 0, where a term with
-    q < 2 has unbounded slope and the sum is NaN.  Stops on a step of
-    NEWTON_TOL relative to xi.
+    bisection of the bracket; so is a step where the slope is not finite:
+    from xi = 0, where a term with q < 2 has unbounded slope and the sum is
+    NaN, and near it, where such a slope overflows (q near 1, a root near
+    the smallest normal float) and the Newton step would be a false 0.
+    Stops on a step of NEWTON_TOL relative to xi.
     """
     hi = t.copy()
     with np.errstate(over="ignore"):  # an overflowed candidate is not the min
@@ -288,7 +286,7 @@ def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndar
              for beta, q in powers]
     lo = np.zeros_like(t)
     xi = hi.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(NEWTON_MAX_ITER):
             f, df = xi - t, 1.0
             for a, b, e in terms:
@@ -299,7 +297,7 @@ def _power_sum_root(t: np.ndarray, powers: list[tuple[float, float]]) -> np.ndar
             np.copyto(lo, xi, where=f <= 0.0)
             np.copyto(hi, xi, where=f >= 0.0)
             xi_new = xi - f / df
-            inside = (xi_new >= lo) & (xi_new <= hi)
+            inside = (xi_new >= lo) & (xi_new <= hi) & np.isfinite(df)
             if not inside.all():
                 xi_new = np.where(inside, xi_new, 0.5 * (lo + hi))
             done = (np.abs(xi_new - xi) <= NEWTON_TOL * xi).all()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -72,30 +72,22 @@ class Mesh:
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
         """Node coordinates broadcast to the grid shape (one array per axis)."""
-        if self.dim == 1:
-            return (self.axes[0],)
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     @cached_property
     def quad_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights, tensorized in 2D."""
+        """Trapezoidal quadrature weights, the outer product of the axes'."""
         ws = []
         for h, n in zip(self.spacing, self.counts):
             w = np.full(n, h)
             w[0] = w[-1] = h / 2.0
             ws.append(w)
-        if self.dim == 1:
-            return ws[0]
-        return np.multiply.outer(ws[0], ws[1])
+        return reduce(np.multiply.outer, ws)
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.dim == 1:
-            mask[0] = mask[-1] = True
-        else:
-            mask[0, :] = mask[-1, :] = True
-            mask[:, 0] = mask[:, -1] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.dim] = False
         return mask
 
 

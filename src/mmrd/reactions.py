@@ -11,14 +11,13 @@ and params; the kinds are:
 Every check on a reaction is decided from its kind and params, in closed
 form.
 
-``check_sc`` is the structure condition behind the comparison machinery:
-off-diagonal partial derivatives of F nonnegative (quasimonotonicity) on
+Every kind meets the structure condition behind the comparison machinery:
+its off-diagonal partial derivatives are nonnegative (quasimonotonicity) on
 the nonnegative orthant, where the comparison arguments for these systems
-live (their solutions are nonnegative), and all partials bounded on the
-box.  Every kind meets the sign condition there: for ``nuclear``,
-dF1/du2 = u1 >= 0 and dF2/du1 = a >= 0, and ``zero`` and ``power`` have no
-off-diagonal partials.  Its Lipschitz constant is ``lipschitz_bound``, over
-the full symmetric box.
+live (their solutions are nonnegative), and all its partials are bounded
+on the box.  For ``nuclear``, dF1/du2 = u1 >= 0 and dF2/du1 = a >= 0, and
+``zero`` and ``power`` have no off-diagonal partials.  The bound on the
+partials, L_M, is ``lipschitz_bound``, over the full symmetric box.
 
 ``check_order_F`` is the ordering F1 <= F2 of the comparison theorem,
 checked on the symmetric box [-R, R]^m (R > 0).  On that box two reactions
@@ -42,12 +41,10 @@ from .errors import ConfigurationError
 __all__ = [
     "Reaction",
     "OrderVerdict",
-    "ScResult",
     "zero_reaction",
     "power_reaction",
     "nuclear_reaction",
     "eval_reaction",
-    "check_sc",
     "check_order_F",
     "ell",
     "lipschitz_bound",
@@ -106,20 +103,6 @@ def eval_reaction(F: Reaction, U) -> np.ndarray:
         return np.abs(U) ** (F.p - 2.0) * U
     u1, u2 = U[0], U[1]
     return np.stack([u1 * u2 - F.b * u1, F.a * u1])
-
-
-@dataclass(frozen=True)
-class ScResult:
-    ok: bool
-    l_m: float
-
-
-def check_sc(F: Reaction, box_radius: float) -> ScResult:
-    """The structure condition on the box |U|_inf <= box_radius: it holds
-    for every kind (module docstring), with L_M = ``lipschitz_bound``."""
-    if box_radius <= 0:
-        raise ConfigurationError(f"box_radius must be > 0, got {box_radius}")
-    return ScResult(True, lipschitz_bound(F, box_radius))
 
 
 @dataclass(frozen=True)

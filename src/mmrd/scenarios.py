@@ -85,9 +85,8 @@ def _bump(mesh: Mesh, center, width, height) -> np.ndarray:
         raise ConfigurationError("width: must be > 0")
     prof = np.ones(mesh.shape)
     with np.errstate(over="ignore"):  # only in the far tails, where exp gives 0
-        for axis in range(mesh.dim):
-            x = mesh.coords[axis] if mesh.dim > 1 else mesh.axes[0]
-            prof = prof * np.exp(-0.5 * ((x - center[axis]) / width[axis]) ** 2)
+        for x, c, w in zip(mesh.coords, center, width):
+            prof = prof * np.exp(-0.5 * ((x - c) / w) ** 2)
     return height * prof
 
 

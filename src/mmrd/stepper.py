@@ -98,6 +98,7 @@ __all__ = [
 SOLVE_TOL = 1e-10
 CHORD_RATE = 1e-2  # a step with kept factors must lower max|Phi| by this factor
 MAX_ITER = 500
+BLOWUP_WINDOW = 10  # samples in the longer of detect_blowup's two fits
 
 
 @dataclass(frozen=True)
@@ -584,11 +585,11 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None 
 # ---------------------------------------------------------------------------
 
 
-def _dt_rates(P: ProblemSpec, S: np.ndarray) -> tuple[float, float, float, float]:
-    """The rates that cap dt at safety / rate: the growth envelope ell(r)
-    relative to max(1, r), r the summed sup norm, and the Lipschitz bound
-    on the max-norm box; then r and the box radius."""
-    sups = [sup_norm(S[k]) for k in range(P.m)]
+def _dt_rates(P: ProblemSpec, sups: list[float]) -> tuple[float, float, float, float]:
+    """The rates that cap dt at safety / rate, from the components' sup
+    norms ``sups``: the growth envelope ell(r) relative to max(1, r), r the
+    summed sup norm, and the Lipschitz bound on the max-norm box; then r and
+    the box radius."""
     r, box = float(sum(sups)), float(max(sups))
     growth = ell(P.reaction, r)
     if not math.isinf(growth):
@@ -596,14 +597,15 @@ def _dt_rates(P: ProblemSpec, S: np.ndarray) -> tuple[float, float, float, float
     return growth, lipschitz_bound(P.reaction, box), r, box
 
 
-def propose_dt(P: ProblemSpec, S: np.ndarray, tc: TimeControl, dt_prev: float) -> float:
-    """Next trial step: capped by dt_init, twice the previous step,
+def propose_dt(P: ProblemSpec, sups: list[float], tc: TimeControl, dt_prev: float) -> float:
+    """Next trial step from the components' sup norms ``sups`` of the
+    current state: capped by dt_init, twice the previous step,
     safety * max(1, r) / ell(r) (a relative change of the summed sup norm r
     of at most about ``safety`` once r >= 1) and safety / L, L the
     reaction's Lipschitz bound on the box.  A bound that overflows to inf
     gives dt = 0, which the drivers report as a collapse."""
     dt = min(tc.dt_init, 2.0 * dt_prev)
-    for bound in _dt_rates(P, S)[:2]:
+    for bound in _dt_rates(P, sups)[:2]:
         if bound > 0:
             dt = min(dt, tc.safety / bound)
     return dt
@@ -642,7 +644,7 @@ class _AdaptiveRun:
         return len(self.sups) >= 2 and self.overall_sup(-1) > self.overall_sup(-2)
 
     def classify_collapse(self) -> None:
-        growth, lipschitz, r, box = _dt_rates(self.problem, self.state)
+        growth, lipschitz, r, box = _dt_rates(self.problem, self.sups[-1])
         names = (f"growth envelope ell({r:.6g}) / max(1, {r:.6g})",
                  f"Lipschitz bound on the box of radius {box:.6g}")
         overflowed = [name for name, rate in zip(names, (growth, lipschitz)) if math.isinf(rate)]
@@ -689,7 +691,7 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
     t, dt_prev = 0.0, tc.dt_init
     stop = False
     while not stop and tc.t_end - t > tc.dt_min:
-        dt = min([propose_dt(r.problem, r.state, tc, dt_prev) for r in runs] + [tc.t_end - t])
+        dt = min([propose_dt(r.problem, r.sups[-1], tc, dt_prev) for r in runs] + [tc.t_end - t])
         while True:
             if dt < tc.dt_min:
                 for r in runs:
@@ -755,21 +757,20 @@ def _reciprocal_fit(times: np.ndarray, sups: np.ndarray) -> float | None:
     return float(-intercept / slope)
 
 
-def detect_blowup(traj: Trajectory, window: int = 10) -> BlowupVerdict:
+def detect_blowup(traj: Trajectory) -> BlowupVerdict:
     """Estimate the blow-up time by extrapolating 1/sup to zero.
 
-    Uses the last ``window`` samples; the confidence width is the spread
-    between the last-5 and last-10 fits.  Runs that ended for other reasons
-    (completed, dt collapse without growth) yield kind "none".
+    Uses the last ``BLOWUP_WINDOW`` samples; the confidence width is the
+    spread between the fits to the last BLOWUP_WINDOW and the last half of
+    them.  Runs that ended for other reasons (completed, dt collapse without
+    growth) yield kind "none".
     """
     if traj.status != "blowup":
         note = traj.note if traj.status == "solver_failure" else ""
         return BlowupVerdict("none", note=note)
     sups = traj.overall_sup
     times = traj.times
-    n = len(times)
-    t10 = _reciprocal_fit(times[-min(window, n):], sups[-min(window, n):])
-    t5 = _reciprocal_fit(times[-min(window // 2, n):], sups[-min(window // 2, n):])
+    t10, t5 = (_reciprocal_fit(times[-k:], sups[-k:]) for k in (BLOWUP_WINDOW, BLOWUP_WINDOW // 2))
     if t10 is None and t5 is None:
         return BlowupVerdict("blowup", float(times[-1]), math.inf, "extrapolation degenerate")
     if t10 is None or t5 is None:

@@ -36,19 +36,23 @@ BASE = {
     "time": {"t_end": 0.5, "blowup_threshold": 1e3},
 }
 
-# (graph JSON, the graph it names): each of the seven kinds, with params
-# given and left out
+# (graph JSON, its canonical form, the graph it names): each of the seven
+# kinds, with params given and left out
 GRAPHS_BY_KIND = [
-    ({"kind": "zero"}, MonotoneGraph("zero")),
-    ({"kind": "linear", "slope": 0.5}, MonotoneGraph("linear", (0.5,))),
-    ({"kind": "linear"}, MonotoneGraph("linear", (1.0,))),
-    ({"kind": "power", "alpha": 2.0, "q": 3.0}, MonotoneGraph("power", (2.0, 3.0))),
-    ({"kind": "power"}, MonotoneGraph("power", (1.0, 2.0))),
-    ({"kind": "dirichlet"}, MonotoneGraph("dirichlet")),
-    ({"kind": "extended_power", "q": 2.5}, MonotoneGraph("extended_power", (1.0, 2.5))),
-    ({"kind": "extended_neumann"}, MonotoneGraph("extended_neumann")),
-    ({"kind": "obstacle", "level": 2.0}, MonotoneGraph("obstacle", (2.0,))),
-    ({"kind": "obstacle"}, MonotoneGraph("obstacle", (1.0,))),
+    ({"kind": "zero"}, {"kind": "zero"}, MonotoneGraph("zero")),
+    ({"kind": "linear", "slope": 0.5}, {"kind": "linear", "slope": 0.5},
+     MonotoneGraph("linear", (0.5,))),
+    ({"kind": "linear"}, {"kind": "linear", "slope": 1.0}, MonotoneGraph("linear", (1.0,))),
+    ({"kind": "power", "alpha": 2.0, "q": 3.0}, {"kind": "power", "alpha": 2.0, "q": 3.0},
+     MonotoneGraph("power", (2.0, 3.0))),
+    ({"kind": "power"}, {"kind": "power", "alpha": 1.0, "q": 2.0}, MonotoneGraph("power", (1.0, 2.0))),
+    ({"kind": "dirichlet"}, {"kind": "dirichlet"}, MonotoneGraph("dirichlet")),
+    ({"kind": "extended_power", "q": 2.5}, {"kind": "extended_power", "alpha": 1.0, "q": 2.5},
+     MonotoneGraph("extended_power", (1.0, 2.5))),
+    ({"kind": "extended_neumann"}, {"kind": "extended_neumann"}, MonotoneGraph("extended_neumann")),
+    ({"kind": "obstacle", "level": 2.0}, {"kind": "obstacle", "level": 2.0},
+     MonotoneGraph("obstacle", (2.0,))),
+    ({"kind": "obstacle"}, {"kind": "obstacle", "level": 1.0}, MonotoneGraph("obstacle", (1.0,))),
 ]
 
 
@@ -59,12 +63,12 @@ def test_parse_scenario_roundtrip_idempotent():
     assert scenario_to_dict(s2) == d1
     # every kind survives the round trip, a left-out param takes its JSON
     # default, and the problem holds the graph the JSON names
-    for given, graph in GRAPHS_BY_KIND:
+    for given, canonical, graph in GRAPHS_BY_KIND:
         obj = json.loads(json.dumps(BASE))
         obj["components"][0]["interior_graph"] = given
         obj["components"][0]["boundary_graph"] = given
         d1 = scenario_to_dict(parse_scenario(json.dumps(obj)))
-        assert d1["components"][0]["boundary_graph"] == graph.to_dict()
+        assert d1["components"][0]["boundary_graph"] == canonical
         s2 = parse_scenario(json.dumps(d1))
         assert scenario_to_dict(s2) == d1
         problem, _ = build_problem(s2)
@@ -247,6 +251,26 @@ def test_cli_compare_boundary_power_laws_out_of_order_exit_4(tmp_path):
     assert "A2 component 1: mode (i)" in report and "assumptions FAIL" in report
 
 
+@pytest.mark.parametrize("case, exit_code", [("a3_fails", 4), ("completed", 0)])
+def test_cli_compare_report_is_the_stamp_and_the_printed_lines(tmp_path, capsys, case, exit_code):
+    if case == "a3_fails":
+        # swapped pair: Neumann as sub, Dirichlet as super
+        obj = scenario_to_dict(make_preset("Pp_neumann", n=21, t_end=0.01))
+        obj["pair"] = {"preset": "Pp_dirichlet", "params": {"n": 21, "t_end": 0.01}}
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps(obj), encoding="utf-8")
+        source = ["--scenario", str(scen)]
+    else:
+        source = ["--preset", "Pp_pair_dirichlet_power", "--params", '{"n": 21, "t_end": 0.01}']
+    assert main(["compare", *source, "--out", str(tmp_path / "out")]) == exit_code
+    printed = capsys.readouterr().out
+    report = (tmp_path / "out" / "compare_report.txt").read_text()
+    stamp, rest = report.split("\n", 1)
+    assert stamp.startswith("# mmrd ") and " scenario=" in stamp
+    assert rest == printed and "assumptions" in printed
+    assert ("common interval" in printed) == (case == "completed")
+
+
 def test_cli_compare_reaction_order_failure_exit_4(tmp_path):
     # u|u| <= u^3 fails for u in (0, 1) and u < -1 on the symmetric box
     obj = scenario_to_dict(make_preset("Pp_dirichlet", n=31, t_end=0.01))
@@ -285,6 +309,23 @@ def test_cli_eigen(tmp_path, capsys):
     lines = (tmp_path / "out" / "eigenfunction.csv").read_text().splitlines()
     assert lines[1] == "x,phi1"
     assert len(lines) == 401 + 2
+
+
+def test_cli_eigen_2d_writes_one_row_per_node(tmp_path):
+    obj = json.loads(json.dumps(BASE))
+    obj["domain"] = {"dim": 2, "lengths": [1.0, 0.8], "counts": [7, 5]}
+    obj["components"][0]["initial"] = {"kind": "constant", "value": 1.0}
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["eigen", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert code == 0
+    lines = (tmp_path / "out" / "eigenfunction.csv").read_text().splitlines()
+    assert lines[1] == "x,y,phi1"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert rows.shape == (7 * 5, 3)
+    X, Y = build_problem(parse_scenario(json.dumps(obj)))[0].mesh.coords
+    np.testing.assert_allclose(rows[:, 0], X.ravel(), rtol=1e-11, atol=1e-15)
+    np.testing.assert_allclose(rows[:, 1], Y.ravel(), rtol=1e-11, atol=1e-15)
 
 
 def test_cli_bound_reports_kaplan(tmp_path, capsys):

@@ -20,7 +20,7 @@ from mmrd.graphs import (
     zero_graph,
 )
 from mmrd.mesh import build_mesh
-from mmrd.reactions import power_reaction, zero_reaction
+from mmrd.reactions import lipschitz_bound, power_reaction, zero_reaction
 from mmrd.spectral import principal_eigenpair
 from mmrd.stepper import ProblemSpec, TimeControl, run, step
 
@@ -42,7 +42,8 @@ def test_check_assumptions_dirichlet_vs_power_mode_iii():
     assert rep.passed
     assert rep.a3[0].mode == "iii"
     assert rep.a2[0].mode in ("i", "ii")
-    assert rep.a4_order.holds and rep.a4_sc.ok
+    assert rep.a4_order.holds
+    assert rep.l_m == lipschitz_bound(P1.reaction, rep.box_radius)
 
 
 def test_check_assumptions_power_vs_neumann_mode_ii():

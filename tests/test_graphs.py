@@ -214,12 +214,13 @@ def _log_uniform(lo_exp, hi_exp):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    q=st.sampled_from([2.5, 3.0]) | st.floats(1.25, 4.0),
+    q=st.sampled_from([2.5, 3.0]) | st.floats(1.01, 4.0),
     beta=st.just(0.0) | _log_uniform(-12, 6) | st.floats(1e-12, 1e6),
     t=st.just(0.0) | _log_uniform(-300, 12) | st.floats(1e-300, 1e12),
 )
 @example(q=1.5, beta=1e6, t=1.01e-10)  # a bracket of 1e-12 absolute gave 4.4e-29, not 1.02e-32
 @example(q=1.1, beta=3.7e-5, t=1e-103)  # a root below 1e-300, which [0, t] halved 400 times missed
+@example(q=1.01, beta=378049.0, t=10**2.5)  # the slope overflowed near the root 1.76e-308
 def test_power_root_five_halves_matches_oracle(q, beta, t):
     # closed forms for q = 5/2 and 3, Newton for the rest; the oracle halves
     # in float order, so it reaches every root, and a root below the

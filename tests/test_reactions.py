@@ -1,4 +1,4 @@
-"""Tests for reaction terms, the structure condition and the growth envelope."""
+"""Tests for reaction terms, the bound L_M of the structure condition and the growth envelope."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from mmrd.errors import ConfigurationError
 from mmrd.reactions import (
     Reaction,
     check_order_F,
-    check_sc,
     ell,
     eval_reaction,
     lipschitz_bound,
@@ -70,31 +69,28 @@ def test_reaction_parameter_validation():
             Reaction(**kwargs)
 
 
-def test_check_sc_nuclear_ok_with_expected_lipschitz():
-    res = check_sc(nuclear_reaction(1.0, 1.0), 5.0)
-    assert res.ok
+def test_lipschitz_bound_nuclear_on_the_box():
     # the exact bound on |U|_inf <= 5 is max(a, b + M, M) = 6
-    assert res.l_m == 6.0
+    assert lipschitz_bound(nuclear_reaction(1.0, 1.0), 5.0) == 6.0
 
 
-def test_check_sc_off_diagonal_sign_on_nonneg_orthant():
+def test_nuclear_off_diagonal_partials_nonnegative_on_the_orthant():
     # dF1/du2 = u1 and dF2/du1 = a are >= 0 on the nonnegative orthant
-    res = check_sc(nuclear_reaction(1.0, 1.0), 3.0)
-    assert res.ok and res.l_m == 4.0
+    F = nuclear_reaction(1.0, 1.0)
+    partials = oracle_partials(F, 0.0, 3.0)
+    assert partials[0, 1].min() >= 0.0 and partials[1, 0].min() >= 0.0
+    assert lipschitz_bound(F, 3.0) == 4.0
 
 
-def test_check_sc_scalar_vacuous_off_diagonals():
-    res = check_sc(power_reaction(3.0), 4.0)
-    assert res.ok
+def test_lipschitz_bound_power_at_the_box_edge():
     # |F'| = (p-1)M^(p-2) = 8 at the box edge
-    assert res.l_m == 8.0
+    assert lipschitz_bound(power_reaction(3.0), 4.0) == 8.0
 
 
-def test_check_sc_reports_overflow_as_infinite_lipschitz_bound():
+def test_lipschitz_bound_overflows_to_inf():
     with np.errstate(over="raise", invalid="raise"):
-        res = check_sc(power_reaction(4.0), 1e300)
-        assert res.ok and res.l_m == math.inf
-        assert check_sc(power_reaction(3.0), 1e300).l_m == 2e300
+        assert lipschitz_bound(power_reaction(4.0), 1e300) == math.inf
+        assert lipschitz_bound(power_reaction(3.0), 1e300) == 2e300
 
 
 def test_check_order_on_an_overflowing_box():
@@ -220,8 +216,7 @@ def test_lipschitz_bound_covers_sampled_partials(F, R):
 @settings(max_examples=200, deadline=None)
 @given(F=reactions, R=box_radii)
 def test_sampled_off_diagonal_partials_are_nonnegative_on_the_orthant(F, R):
-    """What check_sc's ok asserts: quasimonotone on [0, R]^m."""
-    assert check_sc(F, R).ok
+    """The structure condition that every kind meets: quasimonotone on [0, R]^m."""
     partials = oracle_partials(F, 0.0, R)
     for k in range(F.m):
         for j in range(F.m):

@@ -425,6 +425,17 @@ def test_constant_dt_2d_run_factors_at_most_four_times(monkeypatch):
         assert oracle_step_residual(P, S, dt, U) <= 1e-9
 
 
+def test_run_takes_each_sup_norm_once_per_sample(monkeypatch):
+    """The step controller reads the sup norms the run recorded, so a run
+    takes m of them per sample, not m more per proposed step."""
+    calls = []
+    count_calls(monkeypatch, "sup_norm", calls)
+    P, tc = build_problem(make_preset("NR", n=21, t_end=0.05))
+    traj = run(P, tc)
+    assert P.m == 2 and traj.status == "completed" and len(traj.times) > 2
+    assert len(calls) == P.m * len(traj.times)
+
+
 def record_starts(monkeypatch):
     """The Newton start of every ``_solve`` call, in order."""
     starts = []
