@@ -228,16 +228,23 @@ def _power_root(t: np.ndarray, beta: float, q: float) -> np.ndarray:
         # w = cos(arccos(x) / 3) for x <= 1, cosh(arccosh(x) / 3) above
         k = 1.5 * math.sqrt(3.0) * beta
         may_overflow = k >= 1e154  # sqrt(t) <= 1.34e154 for finite t
+        x = np.sqrt(t)
         if may_overflow:
             with np.errstate(over="ignore"):
-                x = k * np.sqrt(t)
+                x *= k
         else:
-            x = k * np.sqrt(t)
-        w = np.cos(np.arccos(np.minimum(x, 1.0)) / 3.0)
-        big = x > 1.0
-        if big.any():
+            x *= k
+        w = np.minimum(x, 1.0)
+        np.arccos(w, out=w)
+        w /= 3.0
+        np.cos(w, out=w)
+        # x >= 0 where it is not NaN, and fmax skips NaN
+        if np.fmax.reduce(x, initial=0.0) > 1.0:
+            big = x > 1.0
             w[big] = np.cosh(np.arccosh(x[big]) / 3.0)
-        xi = 0.75 * t / (w * w)
+        w *= w
+        xi = 0.75 * t
+        xi /= w
         if may_overflow:
             # where x is inf, arccosh(x) = ln(2x) and w = (2x)^(1/3) / 2 to
             # double precision, so xi = (t / beta)^(2/3)
@@ -377,8 +384,8 @@ class ResolventPlan:
             if self.c != 1.0:
                 t /= self.c
             one = len(self.roots) == 1
-            xi = _power_root(t, *self.roots[0]) if one else _power_sum_root(t, self.roots)
-            x = np.copysign(xi, r)
+            x = _power_root(t, *self.roots[0]) if one else _power_sum_root(t, self.roots)
+            np.copysign(x, r, out=x)
         if self.lo > -math.inf:
             np.maximum(x, self.lo, out=x)
         if self.hi < math.inf:

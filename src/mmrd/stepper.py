@@ -394,7 +394,7 @@ class _Workspace:
     """
 
     __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "weight", "lu", "key",
-                 "dt", "c", "cs", "coupling", "groups", "out", "history")
+                 "dt", "c", "cs", "coupling", "groups", "out", "history", "scratch")
 
     def __init__(self, P: ProblemSpec):
         self.problem = P
@@ -416,6 +416,7 @@ class _Workspace:
             self.weight = P.mesh.quad_weights.ravel() / math.prod(P.mesh.spacing)
         self.lu = self.key = self.dt = self.out = None
         self.history = ()
+        self.scratch = np.empty(self.m * self.n)
 
     def rescale(self, dt: float) -> None:
         """Make the per-dt setup for the step size dt."""
@@ -429,6 +430,13 @@ class _Workspace:
             self.coupling.append((stride, mu * up, mu * down))
         self.groups = [(idx, plan.at(dt / self.cs[k])) for k, plan, idx in self.plans]
         self.dt = dt
+
+
+def _worst(norms: list[float]) -> float:
+    """The largest of the norms (>= 0), or NaN when one is NaN, as numpy's
+    max gives it: their sum is NaN only then."""
+    total = sum(norms)
+    return max(norms) if total == total else total
 
 
 def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> np.ndarray:
@@ -469,6 +477,9 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     ab, c, cs = ws.ab, ws.c, ws.cs
     coupling, groups = ws.coupling, ws.groups
 
+    scratch = ws.scratch
+    blocks = scratch.reshape(m, n)
+
     def resolve(v):
         q = rhs.copy()
         _add_neighbours(q, v.reshape(m, n), coupling)
@@ -476,11 +487,14 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
         x = q.reshape(-1)
         for idx, R in groups:
             x[idx] = resolve_terms(x[idx], R)
-        return x, np.abs(v - x).reshape(m, n).max(axis=1)
+        np.subtract(v, x, out=scratch)
+        np.abs(scratch, out=scratch)
+        return x, np.maximum.reduce(blocks, axis=1).tolist()
 
-    def converged(x, res):
-        tol = SOLVE_TOL * np.maximum(1.0, np.abs(x).reshape(m, n).max(axis=1))
-        return not (res > tol).any()
+    def converged(x, res_k):
+        np.abs(x, out=scratch)
+        tops = np.maximum.reduce(blocks, axis=1).tolist()
+        return not any(r > SOLVE_TOL * max(top, 1.0) for r, top in zip(res_k, tops))
 
     def factor(x):
         slope = np.ones(m * n)
@@ -500,7 +514,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
         return _tridiag_solve(ws.lu, b) if ab is None else _band_solve(ws.lu, b)
 
     x, res_k = resolve(u)
-    res = float(res_k.max())
+    res = _worst(res_k)
     for it in range(MAX_ITER):
         if res != res or ((it or not predicted) and converged(x, res_k)):
             return x
@@ -510,7 +524,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
         if ws.key is not None:
             v = u + solve(x - u)
             x_v, res_v_k = resolve(v)
-            res_v = float(res_v_k.max())
+            res_v = _worst(res_v_k)
             if res_v < res:
                 if not fresh and res_v > CHORD_RATE * res:
                     ws.key = None  # slow: refactor at the next iterate
@@ -521,7 +535,7 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
                 continue
         u = x
         x, res_k = resolve(u)
-        res = float(res_k.max())
+        res = _worst(res_k)
     raise SolverFailure(
         f"semismooth Newton stalled: residual {res:.3e} after {MAX_ITER} iterations", res
     )

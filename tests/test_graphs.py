@@ -248,6 +248,30 @@ def test_power_root_five_halves_non_finite_input_stays_non_finite():
     assert not np.isfinite(xi[0]) and not np.isfinite(xi[1]) and np.isfinite(xi[2])
 
 
+def _viete_five_halves(t, beta):
+    """The q = 5/2 closed form without in-place operations, as a reference."""
+    x = 1.5 * math.sqrt(3.0) * beta * np.sqrt(t)
+    w = np.cos(np.arccos(np.minimum(x, 1.0)) / 3.0)
+    big = x > 1.0
+    if big.any():
+        w[big] = np.cosh(np.arccosh(x[big]) / 3.0)
+    return 0.75 * t / (w * w)
+
+
+@pytest.mark.parametrize("t", [
+    np.array([]),
+    np.array([np.nan]),
+    np.array([0.0, 1e-3, 0.5]),  # every x <= 1: no hyperbolic branch
+    np.array([np.nan, 0.1, 2.0, 40.0]),  # NaN beside x on both sides of 1
+    np.array([0.0, np.inf, 3.0]),
+])
+def test_power_root_five_halves_is_bitwise_the_plain_closed_form(t):
+    with np.errstate(invalid="ignore"):
+        got = graphs._power_root(t.copy(), 1.0, 2.5)
+        want = _viete_five_halves(t, 1.0)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("q", [2.5, 3.0, 2.7])
 @pytest.mark.parametrize("t, beta", [(1e20, 1e300), (0.15, 1.7e308), (1e308, 1e200)])
 def test_power_root_where_beta_times_t_overflows(q, t, beta):
