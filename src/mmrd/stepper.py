@@ -20,18 +20,30 @@ nonnegative, and ordered states stay ordered.
 Each run keeps one workspace per problem (``_Workspace``), built once: the
 stencil and the resolvent plans of the node classes, grouped across
 components where they agree.  Per dt it only rescales them, and dt is
-unchanged on most steps.  It also keeps the last accepted states, and
-each Newton solve starts from their quadratic extrapolation to the new
-time, not from the old state (Hairer & Wanner, Solving ODEs II, 2nd ed.,
-IV.8, on starting values): on a smooth stretch the first residual is then
-O(dt^3), not O(dt), and fewer chord solves finish the step.  Diffusion is
+unchanged on most steps.  It also keeps the differences between the last
+accepted states, at most ``PREDICTOR_CAP`` = 5, and each Newton solve
+starts from the polynomial through the current state and the states
+behind it, evaluated at the new time, not from the old state (Hairer &
+Wanner, Solving ODEs II, 2nd ed., IV.8, on starting values; the
+variable-order predictor of DASSL, Brenan, Campbell & Petzold 1996).  In
+Newton's divided-difference form its series is cut before the first term
+that is zero or not smaller in max norm than the term before it, so a
+kink or a change of regime lowers the order (``_extrapolate``).  On a
+smooth stretch the first residual is then O(dt^(k+1)) at order k, not
+O(dt), and fewer chord solves finish the step: on the ``plate_2d``
+benchmark (seed 1) a round takes 107 band solves with the cap 5, against
+194 from a quadratic start and 162, 136 and 109 with caps 3, 4 and 6, so
+the count saturates at 5.  The start changes the path of the solve, never
+the stopping test its result passes.  Diffusion is
 linear, so the Newton matrix I - diag(R') N / c changes only where the
 resolvent slope R' moves (the boundary rows, for a zero interior graph),
 and little between steps of equal dt.  The workspace therefore also keeps
 the matrix's factors across iterations and steps and uses them for chord
 steps (Kelley 2003, the chord and Shamanskii methods).  It refactors when
 dt changes, when a chord step lowers the residual by less than the factor
-``CHORD_RATE`` = 1/100, or when it does not lower it at all.  That factor
+``CHORD_RATE`` = 1/100, or when it does not lower it at all, unless the
+step started from an iterate that already passed the stopping test (the
+Newton step a predicted start is due), which left nothing to contract.  That factor
 is the one Hairer & Wanner (IV.8) advise for RADAU5's Jacobian reuse when
 Jacobians are costly: a 2D factorization costs about 12 to 20 banded
 solves (on the 41 x 41 mesh of the ``plate_2d`` benchmark, with one BLAS
@@ -97,6 +109,7 @@ __all__ = [
 
 SOLVE_TOL = 1e-10
 CHORD_RATE = 1e-2  # a step with kept factors must lower max|Phi| by this factor
+PREDICTOR_CAP = 5  # accepted states behind S that a Newton start extrapolates from, at most
 MAX_ITER = 500
 BLOWUP_WINDOW = 10  # samples in the longer of detect_blowup's two fits
 
@@ -387,14 +400,22 @@ class _Workspace:
     to the interior's (1/2 per axis on a boundary row).  Both are None in
     1D.
 
-    ``out`` is the array the last ``step`` with this workspace returned, and
-    ``history`` the (S, dt) of that step and, when its S was the ``out`` of
-    the step before, that step's (S, dt) too, newest first: the accepted
-    states behind ``out``, from which ``_extrapolate`` predicts the next.
+    ``out`` is the array the last ``step`` with this workspace returned.
+    The accepted states behind it, from which ``_extrapolate`` predicts the
+    next, are kept as the differences d_l = S_(l-1) - S_l (S_0 = ``out``),
+    newest first, with ``steps`` the step between each pair: at most
+    ``PREDICTOR_CAP``, a chain of steps that each took the ``out`` of the
+    one before (``remember``).  ``diffs`` holds them in a ring of
+    PREDICTOR_CAP rows that is stored twice over, rows r and
+    r + PREDICTOR_CAP alike, so that rows ``head`` to
+    head + len(steps) - 1 are d_1, d_2, ... in order without moving any row.
+    ``scratch`` is a flat buffer for the absolute values behind the
+    residual norms.
     """
 
     __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "weight", "lu", "key",
-                 "dt", "c", "cs", "coupling", "groups", "out", "history", "scratch")
+                 "dt", "c", "cs", "coupling", "groups", "out", "diffs", "head", "steps",
+                 "scratch")
 
     def __init__(self, P: ProblemSpec):
         self.problem = P
@@ -415,7 +436,8 @@ class _Workspace:
             self.ab = np.empty((self.bw + 1, self.m * self.n), order="F")
             self.weight = P.mesh.quad_weights.ravel() / math.prod(P.mesh.spacing)
         self.lu = self.key = self.dt = self.out = None
-        self.history = ()
+        self.diffs = np.zeros((2 * PREDICTOR_CAP, self.m * self.n))
+        self.head, self.steps = 0, ()
         self.scratch = np.empty(self.m * self.n)
 
     def rescale(self, dt: float) -> None:
@@ -430,6 +452,18 @@ class _Workspace:
             self.coupling.append((stride, mu * up, mu * down))
         self.groups = [(idx, plan.at(dt / self.cs[k])) for k, plan, idx in self.plans]
         self.dt = dt
+
+    def remember(self, S: np.ndarray, U: np.ndarray, dt: float) -> None:
+        """Keep U = step(S, dt) as the state the next step may extrapolate
+        from: U - S joins the kept differences, or replaces them when S is
+        not the state this workspace last returned."""
+        if S is not self.out:
+            self.steps = ()
+        self.head = head = (self.head - 1) % PREDICTOR_CAP
+        d = self.diffs[head]
+        np.subtract(U.reshape(-1), S.reshape(-1), out=d)
+        self.diffs[head + PREDICTOR_CAP] = d
+        self.out, self.steps = U, (dt,) + self.steps[:PREDICTOR_CAP - 1]
 
 
 def _worst(norms: list[float]) -> float:
@@ -456,18 +490,24 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
 
     Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
     the solve stops when every component has, or at a NaN residual (the
-    driver classifies the non-finite state).  A ``predicted`` start (an
-    extrapolation other than S, see ``step``) is not returned as it is,
-    even when it passes that test: it takes at least one Newton step, so
-    that it saves work and never accuracy.  (The test is absolute below |x| = 1, and a
-    start that lands just inside it would otherwise carry its error of up
-    to SOLVE_TOL into every step of a decaying run.)  A component that has
-    converged may take further steps while another finishes.  The factors in ``ws``
-    are reused while they serve (a chord step), judged by the largest block
-    residual: they are remade when there are none, when some c changed (a
-    new dt), after a chord step that lowered max|Phi| by less than the
-    factor ``CHORD_RATE`` (100x), and at once when a chord step did not lower
-    max|Phi|.  A pivot that is not finite and positive (in 2D, dpbtrf's
+    driver classifies the non-finite state).  The test runs on Python
+    floats, from one in-place abs and one maximum.reduce per norm.  A
+    ``predicted`` start (an extrapolation other than S, see ``step``) is not
+    returned as it is, even when it passes that test: it takes at least one
+    Newton step, so that it saves work and never accuracy.  (The test is
+    absolute below |x| = 1, and a start that lands just inside it would
+    otherwise carry its error of up to SOLVE_TOL into every step of a
+    decaying run.)  A component that has converged may take further steps
+    while another finishes.  The factors in ``ws`` are reused while they
+    serve (a chord step), judged by the largest block residual: they are
+    remade when there are none, when some c changed (a new dt), after a
+    chord step that lowered max|Phi| by less than the factor ``CHORD_RATE``
+    (100x), and at once when a chord step did not lower max|Phi|; but not
+    for a step from an iterate that already passed the test, whose residual
+    may be rounding that no step lowers 100x.  (Judged by that step, the
+    1000 steps of the NR preset, whose starts are within rounding of the
+    solution once its initial layer has passed, refactored on every other
+    step.)  A pivot that is not finite and positive (in 2D, dpbtrf's
     info != 0 or a non-finite pivot) leaves no factors, and so does a step
     with fresh factors that does not lower max|Phi|: either is replaced by
     the fixed-point step u <- R(q), a max-norm contraction.
@@ -526,12 +566,13 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
             x_v, res_v_k = resolve(v)
             res_v = _worst(res_v_k)
             if res_v < res:
-                if not fresh and res_v > CHORD_RATE * res:
+                if not fresh and res_v > CHORD_RATE * res and not converged(x, res_k):
                     ws.key = None  # slow: refactor at the next iterate
                 u, x, res_k, res = v, x_v, res_v_k, res_v
                 continue
             if not fresh:
-                ws.key = None  # refactor at this iterate
+                if not converged(x, res_k):
+                    ws.key = None  # refactor at this iterate
                 continue
         u = x
         x, res_k = resolve(u)
@@ -541,25 +582,82 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     )
 
 
-def _extrapolate(S: np.ndarray, dt: float, history) -> np.ndarray:
-    """The polynomial through S and the states of ``history`` (see
-    ``_Workspace``; S = step(S1, k1), S1 = step(S2, k2)), evaluated dt after
-    S: S itself without history, linear through S1, quadratic through S1 and
-    S2, in Newton's divided differences on the non-uniform grid."""
-    if not history:
+@lru_cache(maxsize=8)
+def _newton_weights(dt: float, steps: tuple[float, ...]) -> np.ndarray:
+    """The terms of ``_extrapolate``'s Newton series, and their partial sums,
+    as combinations of the j = len(steps) kept differences
+    d_l = S_(l-1) - S_l, newest first (S_0 = S, steps[l - 1] the step from
+    S_l to S_(l-1)): row i - 1 of the 2j x j result weighs them into the
+    i-th term, and row j + i - 1 into the sum of the first i terms.
+
+    On the nodes t_0 = 0 > t_1 > ... > t_j (t_l = t_(l-1) - steps[l - 1])
+    the i-th divided difference is sum_l w_il S_l, w_il the inverse of
+    prod (t_l - t_m) over m <= i, m != l, so that w_il = w_(i-1)l / (t_l - t_i)
+    for l < i.  These weights sum to 0, which gives w_ii, and with
+    S_l = S_0 - d_1 - ... - d_l the divided difference is sum_p c_ip d_p,
+    c_ip = w_i0 + ... + w_i(p-1).  The i-th term is it times
+    (dt - t_0) ... (dt - t_(i-1)).  The cache hands the same read-only array
+    to every caller.
+    """
+    j = len(steps)
+    terms: list[float] = []
+    sums: list[float] = []
+    partial = [0.0] * j
+    w, nodes = [1.0], [0.0]
+    t, span = 0.0, 1.0
+    for i, k in enumerate(steps, 1):
+        span *= dt - t
+        t -= k
+        w = [wl / (tl - t) for wl, tl in zip(w, nodes)]
+        nodes.append(t)
+        total = 0.0
+        for p, wl in enumerate(w):
+            total += wl
+            term = span * total
+            terms.append(term)
+            partial[p] += term
+        terms += [0.0] * (j - i)
+        sums += partial
+        w.append(-total)
+    weights = np.array(terms + sums).reshape(2 * j, j)
+    weights.flags.writeable = False
+    return weights
+
+
+def _extrapolate(S: np.ndarray, dt: float, ws: _Workspace) -> np.ndarray:
+    """The Newton start of the step from S by dt: the polynomial through S
+    and the accepted states behind it that ``ws`` keeps, evaluated dt after
+    S, when S is the state ``ws`` last returned; else S itself.
+
+    The polynomial is taken in Newton's form on the non-uniform grid: S plus
+    terms of rising order, formed with their partial sums in one product
+    (``_newton_weights``).  The series is cut before its first term that is
+    zero, or that is not smaller in max norm than the term before it: there
+    the differences no longer behave like derivatives (a kink, a change of
+    regime, rounding noise), and higher orders would amplify them.  When no
+    term is kept, S itself is returned, the very array.
+    """
+    steps = ws.steps
+    if S is not ws.out or not steps:
         return S
-    (S1, k1), *older = history
-    u = S - S1
-    if not older:
-        u *= dt / k1
-        u += S
-        return u
-    ((S2, k2),) = older
-    bend = dt * (dt + k1) / (k1 + k2)  # the second divided difference's weight
-    u *= (dt + bend) / k1
-    u += S
-    u -= (bend / k2) * (S1 - S2)
-    return u
+    j, head = len(steps), ws.head
+    weights, diffs = _newton_weights(dt, steps), ws.diffs[head:head + j]
+    # a 2D run has used BLAS in dpbtrf, and @ takes a quarter of einsum's time
+    # there; a 1D run makes no BLAS call, and a process's first gemm adds about
+    # 0.3 MB to its peak resident memory
+    rows = weights @ diffs if ws.ab is not None else np.einsum("ij,jk->ik", weights, diffs)
+    terms = rows[:j]
+    sizes = np.maximum.reduce(np.abs(terms, out=terms), axis=1).tolist()
+    kept, last = 0, math.inf
+    for size in sizes:
+        if not 0.0 < size < last:
+            break
+        kept, last = kept + 1, size
+    if not kept:
+        return S
+    u = rows[j + kept - 1]
+    u += S.reshape(-1)
+    return u.reshape(S.shape)
 
 
 def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None = None) -> np.ndarray:
@@ -569,15 +667,16 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None 
     ``workspace`` is the problem's ``_Workspace``, which the adaptive driver
     keeps for the whole run; without it the step builds a fresh one.  When S
     is the very array the workspace's last step returned, the solve starts
-    from the extrapolation of the accepted states behind it (``_extrapolate``,
-    Hairer & Wanner, Solving ODEs II, 2nd ed., IV.8), so its first residual
-    is O(dt^3) on smooth stretches in place of O(dt); any other S (the retry
-    of a step whose output was discarded, a caller's own state, a step
-    without workspace) starts from S.  An extrapolation bitwise equal to
-    S (a constant history) starts the solve as S does, without the Newton
-    step a prediction takes, so that constant states stay fixed.  The
-    workspace changes the path of the solve, never the stopping test its
-    result passes.
+    from the polynomial through S and up to ``PREDICTOR_CAP`` accepted
+    states behind it, of the order its cut leaves (``_extrapolate``; Hairer
+    & Wanner, Solving ODEs II, 2nd ed., IV.8), so its first residual is
+    O(dt^(k+1)) at order k on smooth stretches in place of O(dt); any other
+    S (the retry of a step whose output was discarded, a caller's own
+    state, a step without workspace) starts from S, and so does a history
+    whose every term is cut (a constant one), without the Newton step a
+    prediction takes, so that constant states stay fixed.  The workspace
+    changes the path of the solve, never the stopping test its result
+    passes.  The result then joins the states the workspace keeps.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
@@ -587,10 +686,9 @@ def step(P: ProblemSpec, S: np.ndarray, dt: float, workspace: _Workspace | None 
     S = np.asarray(S, dtype=float)
     F = eval_reaction(P.reaction, S)
     rhs = (S + dt * F).reshape(ws.m, ws.n)
-    history = ws.history if S is ws.out else ()
-    u = _extrapolate(S, dt, history)
-    U = _solve(ws, u.reshape(-1), rhs, u.tobytes() != S.tobytes()).reshape(S.shape)
-    ws.out, ws.history = U, ((S, dt),) + history[:1]
+    u = _extrapolate(S, dt, ws)
+    U = _solve(ws, u.reshape(-1), rhs, u is not S).reshape(S.shape)
+    ws.remember(S, U, dt)
     return U
 
 

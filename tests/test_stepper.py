@@ -403,8 +403,8 @@ def test_constant_dt_run_keeps_its_factorization(monkeypatch):
 def test_constant_dt_2d_run_factors_at_most_four_times(monkeypatch):
     """With the extrapolated start and chord steps kept while they contract
     100x, 50 steps at dt_init factor the band at most 4 times and solve with
-    it at most 3 times per step, and every step still solves its nodal
-    inclusions."""
+    it 82 times (137 from a quadratic start), and every step still solves
+    its nodal inclusions."""
     steps = []
 
     def recording_step(P, S, dt, **kw):
@@ -420,9 +420,26 @@ def test_constant_dt_2d_run_factors_at_most_four_times(monkeypatch):
     traj = run(P, TimeControl(t_end=0.05))
     assert traj.status == "completed" and len(steps) == len(traj.times) - 1 == 50
     assert 0 < len(factors) <= 4
-    assert len(solves) <= 3 * len(steps)
+    assert len(solves) <= 82
     for S, dt, U in steps:
         assert oracle_step_residual(P, S, dt, U) <= 1e-9
+
+
+def test_constant_dt_1d_run_solves_about_once_per_step(monkeypatch):
+    """The NR preset (n = 101, 1000 steps at dt_init): past its initial
+    layer the start is within the stopping test, so a step takes only the
+    one Newton step a predicted start is due, and that step, which has
+    nothing left to contract, does not condemn the kept factors.  1022
+    tridiagonal solves and 3 factorizations (1083 and 13 from a quadratic
+    start)."""
+    factors, solves = [], []
+    count_calls(monkeypatch, "_tridiag_factor", factors)
+    count_calls(monkeypatch, "_tridiag_solve", solves)
+    P, tc = build_problem(make_preset("NR"))
+    traj = run(P, tc)
+    assert traj.status == "completed" and len(traj.times) - 1 == 1000
+    assert 0 < len(factors) <= 3
+    assert len(solves) <= 1022
 
 
 def test_run_takes_each_sup_norm_once_per_sample(monkeypatch):
@@ -461,27 +478,109 @@ def lagrange(states, dts, h):
     return total
 
 
+def predicted_start(states, dts, h):
+    """The Newton start after the accepted states (oldest first, dts[i]
+    between states i and i + 1), by the predictor's rule with Lagrange's
+    form as the reference: the sum of the first i terms of the Newton series
+    is the polynomial through the newest i + 1 states, and the series stops
+    before the first term that is zero or no smaller in max norm than the
+    one before it.  Returns the start and the number of terms kept."""
+    cap = mmrd.stepper.PREDICTOR_CAP
+    start, last, kept = states[-1], np.inf, 0
+    for i in range(1, min(cap, len(dts)) + 1):
+        poly = lagrange(states[-i - 1:], dts[len(dts) - i:], h)
+        size = float(np.abs(poly - start).max())
+        if not 0.0 < size < last:
+            break
+        start, last, kept = poly, size, i
+    return start, kept
+
+
+def remembered(P, times, values):
+    """A workspace that has accepted the states ``values`` (oldest first) at
+    ``times``, as ``step`` leaves it."""
+    ws = mmrd.stepper._Workspace(P)
+    for k in range(1, len(times)):
+        ws.remember(values[k - 1] if k == 1 else ws.out, values[k], times[k] - times[k - 1])
+    return ws
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_predictor_reproduces_polynomials_of_degree_up_to_five(degree):
+    """On a non-uniform history of six states the start is the polynomial
+    through them, so it extends any polynomial in t of degree <= 5 exactly,
+    to rounding."""
+    P = rod_problem(n=11)
+    rng = np.random.default_rng(degree)
+    coef = rng.uniform(-1.0, 1.0, size=(degree + 1,) + P.initial.shape)
+    times = 0.3 + np.cumsum([0.0, 0.01, 0.005, 0.02, 0.01, 0.015])
+    values = [sum(c * t**k for k, c in enumerate(coef)) for t in times]
+    ws = remembered(P, times, values)
+    S, h = ws.out, 0.012
+    start = mmrd.stepper._extrapolate(S, h, ws)
+    want = sum(c * (times[-1] + h) ** k for k, c in enumerate(coef))
+    scale = float(np.abs(want).max())
+    assert float(np.abs(start - lagrange(values, np.diff(times), h)).max()) <= 1e-12 * scale
+    assert float(np.abs(start - want).max()) <= 1e-12 * scale
+    # the same values in another array start from that array
+    foreign = S.copy()
+    assert mmrd.stepper._extrapolate(foreign, h, ws) is foreign
+
+
+def test_predictor_cuts_the_series_at_a_kink():
+    """States min(t, t*) with the kink t* between the last two, 0.3 of a
+    step after the older one: the first-order term extends the last
+    difference (0.3 dt), the second-order term is larger (0.7 dt), so the
+    start is the line through the last two states, not the polynomial
+    through all six."""
+    P = rod_problem(n=11)
+    x = P.mesh.axes[0]
+    times = np.cumsum([0.0, 0.01, 0.01, 0.015, 0.01, 0.01])
+    kink = times[-2] + 0.003
+    values = [np.minimum(t, kink) * (1.0 + x)[None] for t in times]
+    ws = remembered(P, times, values)
+    start = mmrd.stepper._extrapolate(ws.out, 0.01, ws)
+    want, kept = predicted_start(values, np.diff(times), 0.01)
+    assert kept == 1
+    assert float(np.abs(start - want).max()) <= 1e-12 * float(np.abs(want).max())
+    full = lagrange(values, np.diff(times), 0.01)
+    assert float(np.abs(start - full).max()) > 1e-3
+
+
+def test_predictor_starts_a_constant_history_from_the_state_itself():
+    """Constant accepted states give only zero terms: the start is S, the
+    very array, so the solve takes no forced Newton step."""
+    P = rod_problem(n=11)
+    values = [np.full(P.initial.shape, 3.7) for _ in range(7)]
+    ws = remembered(P, np.cumsum([0.0, 1e-3, 2e-3, 1e-3, 5e-4, 1e-3, 1e-3]), values)
+    assert mmrd.stepper._extrapolate(ws.out, 1e-3, ws) is ws.out
+
+
 def test_newton_starts_from_the_extrapolated_accepted_states(monkeypatch):
-    """Steps that each take the array the last one returned start from S,
-    then from the line through the last two states, then from the parabola
-    through the last three, on a non-uniform grid; a state the workspace
-    did not return, and a step without workspace, start from S."""
+    """Eight steps that each take the array the last one returned start
+    from S, then from the polynomial through the last two, three, ...
+    states, up to PREDICTOR_CAP + 1 of them, on a non-uniform grid, cut
+    where its terms stop shrinking; a state the workspace did not return,
+    and a step without workspace, start from S."""
     starts = record_starts(monkeypatch)
     P = plate_problem(n=11)
     ws = mmrd.stepper._Workspace(P)
-    dts = [1e-3, 5e-4, 2e-3, 1e-3]
+    dts = [1e-3, 5e-4, 2e-3, 1e-3, 1.5e-3, 1e-3, 8e-4, 1e-3, 1e-3]
     states = [P.initial_state()]
-    for dt in dts[:3]:
+    for dt in dts[:8]:
         states.append(step(P, states[-1], dt, workspace=ws))
-    expected = [states[0], lagrange(states[:2], dts[:1], dts[1]),
-                lagrange(states[:3], dts[:2], dts[2])]
-    for got, want in zip(starts, expected, strict=True):
-        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max())
+    assert starts[0] is not states[0] and np.array_equal(starts[0], states[0])
+    kept = []
+    for k in range(1, 8):
+        want, order = predicted_start(states[:k + 1], dts[:k], dts[k])
+        kept.append(order)
+        assert float(np.abs(starts[k] - want).max()) <= 1e-12 * float(np.abs(want).max())
+    assert max(kept) > 2  # beyond a quadratic (the cap is reached in the retry test)
     # the same values in another array: the workspace cannot vouch for them
     foreign = states[-1].copy()
-    step(P, foreign, dts[3], workspace=ws)
-    step(P, foreign, dts[3])
-    assert np.array_equal(starts[3], foreign) and np.array_equal(starts[4], foreign)
+    step(P, foreign, dts[8], workspace=ws)
+    step(P, foreign, dts[8])
+    assert np.array_equal(starts[8], foreign) and np.array_equal(starts[9], foreign)
 
 
 def test_extrapolated_start_keeps_small_states_accurate():
@@ -506,23 +605,26 @@ def test_retry_after_solver_failure_extrapolates_with_the_halved_dt(monkeypatch)
     P = plate_problem(n=11)
     Q = ProblemSpec(P.mesh, P.diffusion, P.reaction, P.interior, P.boundary, 0.5 * P.initial_state())
     calls = []  # (problem, S, dt) per step call
+    fail = 14  # Q's seventh step, after P's seventh succeeded
 
     def failing_step(R, S, dt, **kw):
         calls.append((R, S, dt))
-        if len(calls) == 6:  # Q's third step, after P's third succeeded
+        if len(calls) == fail:
             raise SolverFailure("injected", 1.0)
         return step(R, S, dt, **kw)
 
     monkeypatch.setattr(mmrd.stepper, "step", failing_step)
-    trajs = mmrd.stepper._advance([P, Q], TimeControl(t_end=0.003))
+    trajs = mmrd.stepper._advance([P, Q], TimeControl(t_end=0.008))
     assert all(traj.status == "completed" for traj in trajs)
     dt = calls[0][2]
-    assert [c[0] for c in calls[:8]] == [P, Q] * 4 and calls[6][2] == calls[7][2] == 0.5 * dt
-    # starts: P, Q, P, Q, P (kept until Q fails), then the retries of P and Q
-    retry_P, retry_Q = starts[5], starts[6]
-    assert np.array_equal(retry_P, calls[6][1])
-    Q_states = [calls[i][1] for i in (1, 3, 5)]
-    want = lagrange(Q_states, [dt, dt], 0.5 * dt)
+    assert [c[0] for c in calls[:fail + 2]] == [P, Q] * (fail // 2 + 1)
+    assert all(c[2] == dt for c in calls[:fail]) and calls[fail][2] == calls[fail + 1][2] == 0.5 * dt
+    # starts: P, Q, ... P (kept until Q fails), then the retries of P and Q
+    retry_P, retry_Q = starts[fail - 1], starts[fail]
+    assert np.array_equal(retry_P, calls[fail][1])
+    Q_states = [calls[i][1] for i in range(1, fail, 2)]
+    want, kept = predicted_start(Q_states, [dt] * (len(Q_states) - 1), 0.5 * dt)
+    assert kept == mmrd.stepper.PREDICTOR_CAP
     assert float(np.abs(retry_Q - want).max()) <= 1e-12 * float(np.abs(want).max())
 
 
