@@ -489,8 +489,8 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     diag(W / sqrt(R')) A diag(sqrt(R')), clipped nodes (R' = 0) taken out.
 
     Component k has converged when max|Phi_k| <= SOLVE_TOL * max(1, max|x_k|);
-    the solve stops when every component has, or at a NaN residual (the
-    driver classifies the non-finite state).  The test runs on Python
+    the solve stops when every component has, or at a NaN residual
+    (``_advance`` classifies the non-finite state).  The test runs on Python
     floats, from one in-place abs and one maximum.reduce per norm.  A
     ``predicted`` start (an extrapolation other than S, see ``step``) is not
     returned as it is, even when it passes that test: it takes at least one
@@ -643,7 +643,7 @@ def _extrapolate(S: np.ndarray, dt: float, ws: _Workspace) -> np.ndarray:
     j, head = len(steps), ws.head
     weights, diffs = _newton_weights(dt, steps), ws.diffs[head:head + j]
     # einsum makes no BLAS call, and 1D runs make none: a process's first gemm
-    # adds 0.3-1 MB to its peak resident memory.  2D runs call LAPACK anyway,
+    # adds 0.25-0.5 MB to its peak resident memory.  2D runs call LAPACK anyway,
     # and there @ takes a quarter of einsum's time (6% of a plate_2d round).
     rows = weights @ diffs if ws.ab is not None else np.einsum("ij,jk->ik", weights, diffs)
     terms = rows[:j]
