@@ -78,18 +78,21 @@ def write_csv(traj: Trajectory, path: Path, stamp: str) -> None:
     coupled system's Kaplan moments), trailing comment line with the status."""
     m = traj.sup_norms.shape[1]
     sup_cols = ",".join(f"supnorm_k{k + 1}" for k in range(m))
-    ys = traj.extras.get("y")
-    zs = traj.extras.get("z")
+    n = len(traj.times)
+
+    def cells(key):
+        values = traj.extras.get(key)
+        return [""] * n if values is None else [f"{v:.12g}" for v in values.tolist()]
+
+    statuses = [""] * (n - 1) + [traj.status]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(stamp + "\n")
         fh.write(f"t,dt,{sup_cols},y,z,status\n")
-        n = len(traj.times)
-        for i in range(n):
-            sups = ",".join(f"{traj.sup_norms[i, k]:.12g}" for k in range(m))
-            y = f"{ys[i]:.12g}" if ys is not None else ""
-            z = f"{zs[i]:.12g}" if zs is not None else ""
-            status = traj.status if i == n - 1 else ""
-            fh.write(f"{traj.times[i]:.12g},{traj.dts[i]:.12g},{sups},{y},{z},{status}\n")
+        for t, dt, sups, y, z, status in zip(traj.times.tolist(), traj.dts.tolist(),
+                                             traj.sup_norms.tolist(), cells("y"), cells("z"),
+                                             statuses):
+            sups = ",".join(f"{v:.12g}" for v in sups)
+            fh.write(f"{t:.12g},{dt:.12g},{sups},{y},{z},{status}\n")
         verdict = detect_blowup(traj)
         if verdict.kind == "blowup":
             fh.write(f"# status={traj.status} T_b={verdict.t_blowup:.12g}\n")

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .graphs import DominationVerdict, dominates
-from .mesh import positive_part_l2, sup_norm
+from .mesh import sup_norm
 from .reactions import OrderVerdict, check_order_F, lipschitz_bound
 from .stepper import ProblemSpec, TimeControl, Trajectory, _advance, detect_blowup, run
 
@@ -209,10 +209,6 @@ def ordering_defect(S1: np.ndarray, S2: np.ndarray) -> float:
     return float(np.maximum(S1 - S2, 0.0).max())
 
 
-def _positive_part_energy(mesh, S1: np.ndarray, S2: np.ndarray) -> float:
-    return float(sum(positive_part_l2(mesh, S1[k] - S2[k]) ** 2 for k in range(S1.shape[0])))
-
-
 def run_pair(
     P1: ProblemSpec,
     P2: ProblemSpec,
@@ -240,12 +236,22 @@ def run_pair(
 
     m = P1.m
     mesh = P1.mesh
+    weights = mesh.quad_weights
     defects: list[float] = []
     energies: list[float] = []
 
     def on_sample(S1: np.ndarray, S2: np.ndarray) -> None:
-        defects.append(ordering_defect(S1, S2))
-        energies.append(_positive_part_energy(mesh, S1, S2))
+        # the defect and W from one positive part (u1 - u2)^+ of all components
+        pos = np.subtract(S1, S2)
+        np.maximum(pos, 0.0, out=pos)
+        defect = float(np.maximum.reduce(pos, axis=None))
+        defects.append(defect)
+        if defect == 0.0:
+            energies.append(0.0)
+            return
+        pos *= pos
+        pos *= weights
+        energies.append(float(np.add.reduce(pos, axis=None)))
 
     traj1, traj2 = _advance([P1, P2], tc, observer, on_sample)
     times = traj1.times

@@ -101,7 +101,7 @@ def integrate(mesh: Mesh, f: np.ndarray) -> float:
     f = np.asarray(f)
     if f.shape != mesh.shape:
         raise ConfigurationError(f"field shape {f.shape} does not match mesh {mesh.shape}")
-    return float(np.sum(mesh.quad_weights * f))
+    return float(np.add.reduce(mesh.quad_weights * f, axis=None))
 
 
 def sup_norm(f: np.ndarray) -> float:

@@ -101,8 +101,14 @@ def eval_reaction(F: Reaction, U) -> np.ndarray:
         return np.zeros_like(U)
     if F.kind == "power":
         return np.abs(U) ** (F.p - 2.0) * U
-    u1, u2 = U[0], U[1]
-    return np.stack([u1 * u2 - F.b * u1, F.a * u1])
+    # filled in place; [k, ...] keeps a 0-d view for U of shape (2,)
+    out = np.empty_like(U)
+    u1, u2, f1, f2 = U[0, ...], U[1, ...], out[0, ...], out[1, ...]
+    np.multiply(F.b, u1, out=f2)
+    np.multiply(u1, u2, out=f1)
+    np.subtract(f1, f2, out=f1)
+    np.multiply(F.a, u1, out=f2)
+    return out
 
 
 @dataclass(frozen=True)

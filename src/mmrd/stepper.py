@@ -93,7 +93,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverFailure
 from .graphs import MonotoneGraph, ResolventPlan, resolve_terms, resolvent_slope
-from .mesh import Mesh, sup_norm
+from .mesh import Mesh
 from .reactions import Reaction, ell, eval_reaction, lipschitz_bound
 
 __all__ = [
@@ -723,6 +723,17 @@ def propose_dt(P: ProblemSpec, sups: list[float], tc: TimeControl, dt_prev: floa
     return dt
 
 
+def _extremes(S: np.ndarray) -> tuple[list[float], list[float]]:
+    """Each component's sup norm and minimum over the nodes, equal to
+    ``sup_norm(S[k])`` and ``S[k].min()`` bit for bit: from one max and one
+    min reduction, as max|x| = max(max x, -min x) exactly, with abs taking
+    the sign off a zero or a NaN as ``sup_norm``'s abs does."""
+    flat = S.reshape(S.shape[0], -1)
+    hi = np.maximum.reduce(flat, axis=1)
+    lo = np.minimum.reduce(flat, axis=1)
+    return np.abs(np.maximum(hi, np.negative(lo))).tolist(), lo.tolist()
+
+
 class _AdaptiveRun:
     """Bookkeeping for one problem advanced by ``_advance``, with the
     problem's Newton workspace."""
@@ -730,7 +741,6 @@ class _AdaptiveRun:
     def __init__(self, P: ProblemSpec, observer=None):
         self.problem = P
         self.observer = observer
-        self.state = P.initial_state()
         self.workspace = _Workspace(P)
         self.times: list[float] = []
         self.dts: list[float] = []
@@ -740,14 +750,25 @@ class _AdaptiveRun:
         self.status = "completed"
         self.note = ""
 
-    def record(self, t: float, dt: float) -> None:
+    def record(self, t: float, dt: float, S: np.ndarray, clamp: float) -> bool:
+        """Take S as the state at time t, reached by a step of dt, and
+        record its sample; returns whether S is finite.  A non-finite S is
+        first clamped to [-clamp, clamp] (NaN to clamp), and the sample and
+        the observer see the clamped state."""
+        sups, mins = _extremes(S)
+        finite = all(map(math.isfinite, sups))
+        if not finite:
+            S = np.nan_to_num(S, nan=clamp, posinf=clamp, neginf=-clamp)
+            sups, mins = _extremes(S)
+        self.state = S
         self.times.append(t)
         self.dts.append(dt)
-        self.sups.append([sup_norm(self.state[k]) for k in range(self.problem.m)])
-        self.mins.append([float(self.state[k].min()) for k in range(self.problem.m)])
+        self.sups.append(sups)
+        self.mins.append(mins)
         if self.observer is not None:
             for key, val in self.observer(t, self.state).items():
                 self.extras.setdefault(key, []).append(float(val))
+        return finite
 
     def overall_sup(self, sample: int = -1) -> float:
         return max(self.sups[sample])
@@ -797,7 +818,7 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
     """
     runs = [_AdaptiveRun(P, observer) for P in problems]
     for r in runs:
-        r.record(0.0, 0.0)
+        r.record(0.0, 0.0, r.problem.initial_state(), tc.blowup_threshold)
     if on_sample is not None:
         on_sample(*(r.state for r in runs))
     t, dt_prev = 0.0, tc.dt_init
@@ -817,12 +838,7 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
         t += dt
         dt_prev = dt
         for r, S in zip(runs, new):
-            finite = np.isfinite(S).all()
-            r.state = S if finite else np.nan_to_num(
-                S, nan=tc.blowup_threshold, posinf=tc.blowup_threshold,
-                neginf=-tc.blowup_threshold)
-            r.record(t, dt)
-            if not finite:
+            if not r.record(t, dt, S, tc.blowup_threshold):
                 r.status = "blowup" if r.increasing() else "solver_failure"
                 r.note = "non-finite state encountered"
                 stop = True

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmrd.cli
 from mmrd.cli import main
 from mmrd.errors import ConfigurationError
 from mmrd.graphs import MonotoneGraph
@@ -375,16 +376,35 @@ def test_cli_run_2d_scenario(tmp_path):
     assert lines[-1] == "# status=completed"
 
 
-def test_cli_compare_nuclear_pair_csv_has_moments(tmp_path):
+def test_cli_compare_nuclear_pair_csv_has_moments(tmp_path, monkeypatch):
+    """Each row of both CSVs is the recorded sample, every cell formatted
+    with .12g: t, dt, the sup norms, the Kaplan moments y and z, and the
+    status on the last row."""
+    reports = []
+    original = mmrd.cli.run_pair
+
+    def keep(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(mmrd.cli, "run_pair", keep)
     code = main([
         "compare", "--preset", "NR_pair_dirichlet_power",
         "--params", json.dumps({"n": 21, "t_end": 0.01}),
         "--out", str(tmp_path / "out"),
     ])
-    assert code == 0
-    lines = (tmp_path / "out" / "sub_trajectory.csv").read_text().splitlines()
-    first = lines[2].split(",")
-    assert first[4] != "" and first[5] != ""  # y and z recorded for both runs
+    assert code == 0 and len(reports) == 1
+    for name, traj in (("sub", reports[0].traj_sub), ("super", reports[0].traj_super)):
+        lines = (tmp_path / "out" / f"{name}_trajectory.csv").read_text().splitlines()
+        assert lines[1] == "t,dt,supnorm_k1,supnorm_k2,y,z,status"
+        assert lines[-1] == "# status=completed"
+        rows = lines[2:-1]
+        assert len(rows) == len(traj.times) == 11
+        for i, row in enumerate(rows):
+            values = [traj.times[i], traj.dts[i], *traj.sup_norms[i],
+                      traj.extras["y"][i], traj.extras["z"][i]]
+            status = "completed" if i == len(rows) - 1 else ""
+            assert row == ",".join([f"{v:.12g}" for v in values] + [status])
 
 
 def test_cli_config_error_exit_1(tmp_path):

@@ -58,6 +58,13 @@ def test_integrate_constant_and_linear_exact():
     assert integrate(mesh, mesh.axes[0]) == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("counts", [(3,), (40,), (7, 5), (33, 17)])
+def test_integrate_is_bitwise_the_sum_of_weighted_values(counts):
+    mesh = build_mesh(len(counts), [1.3] * len(counts), counts)
+    f = np.random.default_rng(len(counts)).normal(size=mesh.shape)
+    assert integrate(mesh, f) == float(np.sum(mesh.quad_weights * f))
+
+
 def test_integrate_sine_second_order():
     mesh = build_mesh(1, [1.0], [201])
     f = np.sin(np.pi * mesh.axes[0])

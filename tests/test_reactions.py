@@ -47,6 +47,23 @@ def test_eval_vectorized_over_grids():
     np.testing.assert_allclose(out[1], 2.0 * U[0])
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 9), (2, 5, 4), "list"])
+def test_eval_nuclear_is_bitwise_the_stacked_formula(shape):
+    """The nuclear reaction, filled in place, equals the formula
+    stack([u1*u2 - b*u1, a*u1]) bit for bit, and leaves U alone."""
+    F = nuclear_reaction(1.7, 0.3)
+    rng = np.random.default_rng(11)
+    U = rng.normal(scale=3.0, size=(2, 6) if shape == "list" else shape)
+    U.flat[0], U.flat[-1] = -0.0, 0.0
+    arg = U.tolist() if shape == "list" else U
+    before = U.copy()
+    out = eval_reaction(F, arg)
+    expected = np.stack([U[0] * U[1] - F.b * U[0], F.a * U[0]])
+    assert out.shape == U.shape and out.dtype == np.float64
+    assert out.tobytes() == expected.tobytes()
+    assert U.tobytes() == before.tobytes()
+
+
 def test_reaction_parameter_validation():
     with pytest.raises(ConfigurationError):
         power_reaction(2.0)

@@ -88,6 +88,26 @@ def test_kaplan_z_cancellation_identity():
     )
 
 
+@pytest.mark.parametrize("counts", [(21,), (101,), (13, 9)])
+def test_kaplan_moments_agree_with_the_integral_formulas(counts):
+    """y and z weigh the integrand by the cached w * phi1 in place of
+    integrating f * phi1; they agree with that form to 1e-14 relative."""
+    mesh = build_mesh(len(counts), [1.0, 0.8][:len(counts)], counts)
+    ep = principal_eigenpair(mesh)
+    rng = np.random.default_rng(3)
+    a, b = 1.3, 0.7
+    for _ in range(20):
+        u1 = rng.uniform(0.0, 5.0, mesh.shape)
+        u2 = rng.uniform(0.0, 1.0, mesh.shape)
+        y = integrate(mesh, u2 * ep.phi1)
+        z = integrate(mesh, (a * u1 + b * u2 - 0.5 * np.square(u2)) * ep.phi1)
+        assert kaplan_y(u2, ep) == pytest.approx(y, rel=1e-14, abs=0.0)
+        assert kaplan_z(u1, u2, a, b, ep) == pytest.approx(z, rel=1e-14, abs=0.0)
+    assert np.array_equal(ep.weighted_phi1, mesh.quad_weights * ep.phi1)
+    with pytest.raises(ConfigurationError, match="does not match mesh"):
+        kaplan_y(np.ones(3), ep)
+
+
 def test_kaplan_threshold():
     assert kaplan_threshold(3.0, np.pi**2) == pytest.approx(np.pi**2)
     assert kaplan_threshold(4.0, np.pi**2) == pytest.approx(np.pi)

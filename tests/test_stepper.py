@@ -442,15 +442,109 @@ def test_constant_dt_1d_run_solves_about_once_per_step(monkeypatch):
     assert len(solves) <= 1022
 
 
+def scale_recorded_norms(monkeypatch, factor, log):
+    """Make each sample record ``factor`` times its sup norms, appending
+    the sampled state to ``log`` at every pass over one."""
+    original = mmrd.stepper._extremes
+
+    def scaled(S):
+        log.append(S)
+        sups, mins = original(S)
+        return [factor * v for v in sups], mins
+
+    monkeypatch.setattr(mmrd.stepper, "_extremes", scaled)
+
+
 def test_run_takes_each_sup_norm_once_per_sample(monkeypatch):
-    """The step controller reads the sup norms the run recorded, so a run
-    takes m of them per sample, not m more per proposed step."""
-    calls = []
-    count_calls(monkeypatch, "sup_norm", calls)
-    P, tc = build_problem(make_preset("NR", n=21, t_end=0.05))
+    """One pass over each sampled state takes its norms, and the step
+    controller and the collapse classifier read the norms the run recorded,
+    taking none of their own: with every recorded norm scaled by 4, each
+    dt is ``propose_dt`` of the scaled norms before it, and a collapse note
+    names the scaled radius."""
+    passes = []
+    scale_recorded_norms(monkeypatch, 4.0, passes)
+    # u = 50 puts the Lipschitz cap 0.1 / (b + M) below dt_init, so dt
+    # follows the box radius M
+    P, tc = build_problem(make_preset("NR", n=21, u10=50.0, u20=50.0, t_end=0.003))
     traj = run(P, tc)
-    assert P.m == 2 and traj.status == "completed" and len(traj.times) > 2
-    assert len(calls) == P.m * len(traj.times)
+    assert P.m == 2 and traj.status == "completed" and len(traj.times) > 4
+    assert len(passes) == len(traj.times)
+    assert np.array_equal(traj.sup_norms[0], 4.0 * np.abs(P.initial).max(axis=1))
+    dt_prev = tc.dt_init
+    for i in range(1, len(traj.times)):
+        proposed = mmrd.stepper.propose_dt(P, traj.sup_norms[i - 1].tolist(), tc, dt_prev)
+        assert traj.dts[i] == min(proposed, tc.t_end - traj.times[i - 1])
+        dt_prev = traj.dts[i]
+    assert traj.dts[1] < 0.5 * mmrd.stepper.propose_dt(P, [50.0, 50.0], tc, tc.dt_init)
+
+    passes.clear()
+    P, tc = build_problem(make_preset("Pp_power", n=21, c=1e300))
+    traj = run(P, tc)
+    r = 4.0 * sup_norm(P.initial[0])
+    assert len(passes) == len(traj.times) == 1 and traj.status == "solver_failure"
+    assert f"ell({r:.6g}) / max(1, {r:.6g}) overflowed" in traj.note
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (2, 9), (1, 1), (2, 4, 3), (1, 3, 5)])
+def test_recorded_norms_and_minima_are_bitwise_the_per_component_ones(shape):
+    """One max and one min reduction give each component's sup norm and
+    minimum bit for bit, signed zeros, infinities and NaN included (-0.0
+    and NaN norms lose their sign, as under abs)."""
+    rng = np.random.default_rng(sum(shape))
+    pools = [(0.0, -0.0), (-0.0, -2.5), (-0.0, np.inf), (-0.0, -np.inf, 1.5),
+             (np.nan, -0.0, 1.5), (-np.nan, -0.0, -2.5),
+             (0.0, -0.0, 1.5, -2.5, np.inf, -np.inf, np.nan)]
+    for pool in pools:
+        for _ in range(40):
+            S = rng.choice(np.array(pool), size=shape)
+            sups, mins = mmrd.stepper._extremes(S)
+            expected_sups = [sup_norm(S[k]) for k in range(shape[0])]
+            expected_mins = [float(S[k].min()) for k in range(shape[0])]
+            assert np.array(sups).tobytes() == np.array(expected_sups).tobytes()
+            assert np.array(mins).tobytes() == np.array(expected_mins).tobytes()
+
+
+def test_run_records_norms_and_minima_of_each_sample_bitwise():
+    """A two-component run records, at every sample, the sup norms and
+    minima of the state its observer sees."""
+    seen = []
+    P, tc = build_problem(make_preset("NR", n=21, t_end=0.01))
+    traj = run(P, tc, observer=lambda t, S: seen.append(S.copy()) or {})
+    assert len(seen) == len(traj.times) == 11
+    for S, sups, mins in zip(seen, traj.sup_norms, traj.min_values):
+        assert sups.tobytes() == np.array([sup_norm(S[k]) for k in range(2)]).tobytes()
+        assert mins.tobytes() == np.array([float(S[k].min()) for k in range(2)]).tobytes()
+
+
+def test_non_finite_step_is_clamped_then_observed_once(monkeypatch):
+    """A step that returns inf, -inf and NaN ends the run as a blow-up at
+    that sample.  The sample holds the state clamped to the blow-up
+    threshold, and the observer sees each sample once, the last one
+    clamped."""
+    thr = 1e3
+    bad = np.zeros((2, 21))
+    bad[0, 3], bad[0, 5], bad[1, 7], bad[1, 8] = np.inf, -np.inf, np.nan, -7.0
+    calls = []
+
+    def bad_step(P, S, dt, **kw):
+        calls.append(dt)
+        new = step(P, S, dt, **kw)
+        return bad.copy() if len(calls) == 4 else new
+
+    monkeypatch.setattr(mmrd.stepper, "step", bad_step)
+    passes = []
+    scale_recorded_norms(monkeypatch, 1.0, passes)
+    seen = []
+    P, tc = build_problem(make_preset("NR", n=21, t_end=0.05, blowup_threshold=thr))
+    traj = run(P, tc, observer=lambda t, S: seen.append((t, S, S.copy())) or {"t": t})
+    clamped = np.nan_to_num(bad, nan=thr, posinf=thr, neginf=-thr)
+    assert (traj.status, traj.note) == ("blowup", "non-finite state encountered")
+    assert len(traj.times) == 5 and len(passes) == 6
+    assert [t for t, _, _ in seen] == traj.times.tolist() == traj.extras["t"].tolist()
+    t, S, copy = seen[-1]
+    assert S is traj.final_state and np.array_equal(copy, clamped)
+    assert traj.sup_norms[-1].tolist() == [thr, thr]
+    assert traj.min_values[-1].tolist() == [-thr, -7.0]
 
 
 def record_starts(monkeypatch):
