@@ -66,8 +66,11 @@ LAPACK's banded Cholesky dpbtrf factors it as L L^T in the lower half of a
 band of bw + 1 rows, without pivots (Golub & Van Loan, Matrix
 Computations, 4th ed., 4.3), and the factor is then rewritten in place as
 the upper band of U = L^T, from which dpbtrs solves U^T U z = r in half
-the time it takes from the lower band.  Its scipy module is imported only
-when such a matrix is first factored, so that 1D runs never load scipy.
+the time it takes from the lower band.  dpbtrf and dpbtrs come from
+scipy's LAPACK extension module, which is loaded from its file when such
+a matrix is first factored, without the ``scipy.linalg`` package
+(``_lapack``): so 1D runs never load scipy, and 2D runs load the top-level
+package and the extension, not the 28.7 MB of ``scipy.linalg``.
 
 Time steps adapt to the reaction strength: dt is capped by
 safety * max(1, r) / ell(r), with r the summed sup norm, so that above
@@ -85,7 +88,11 @@ ordering defect.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -194,7 +201,12 @@ class TimeControl:
 @dataclass
 class Trajectory:
     """Recorded time series of one run; one sample per accepted step
-    (plus the initial sample at t = 0 with dt = 0)."""
+    (plus the initial sample at t = 0 with dt = 0).
+
+    ``blowup_exponent`` is the k for which sup^-k falls linearly in time
+    as the run nears a blow-up (``detect_blowup``): p - 2 for a power
+    reaction, whose u' = u^(p-1) gives u^-(p-2) = (p - 2)(T - t), and 1
+    otherwise.  The drivers set it from the problem's reaction."""
 
     times: np.ndarray
     dts: np.ndarray
@@ -204,6 +216,7 @@ class Trajectory:
     final_state: np.ndarray
     extras: dict[str, np.ndarray] = field(default_factory=dict)
     note: str = ""
+    blowup_exponent: float = 1.0
 
     @property
     def overall_sup(self) -> np.ndarray:
@@ -240,20 +253,65 @@ def _stencil(mesh: Mesh):
     return tuple(axes), classes
 
 
+def _flapack_path() -> str:
+    """The file of scipy's f2py LAPACK extension, scipy/linalg/_flapack
+    with one of the interpreter's extension suffixes, found without
+    importing ``scipy.linalg``; ImportError when there is none."""
+    for root in importlib.util.find_spec("scipy").submodule_search_locations or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError("scipy/linalg/_flapack not found")
+
+
 @lru_cache(maxsize=1)
 def _lapack():
+    """scipy's LAPACK extension module ``scipy.linalg._flapack``, loaded
+    from its file on the first call, without the ``scipy.linalg`` package.
+
+    ``scipy.linalg.lapack`` re-exports that module's routines, so these are
+    the very functions it hands out, but importing it runs the init of the
+    whole ``scipy.linalg`` package for the two routines a 2D solve needs:
+    in a bare process that added 28.7 MB of peak resident memory and took
+    226 ms, against 4.3 MB and 25 ms for the extension with the top-level
+    ``scipy`` package, which is imported first (on Windows its
+    ``_distributor_init`` is what makes the bundled BLAS findable).  On the
+    ``plate_2d`` benchmark the peak fell from 64-65 MB to 41.5-42.6 MB.
+
+    CPython registers a single-phase extension in ``sys.modules`` as it
+    loads it; the entry is taken out again, so that a later
+    ``import scipy.linalg`` runs scipy's own package init and binds
+    ``scipy.linalg._flapack`` as usual.  CPython keeps the extension's
+    first namespace and hands a copy of it to that import, so its routines
+    are the same objects as these.  When the package is already loaded, or
+    the file cannot be found or loaded, ``scipy.linalg.lapack`` serves.
+    """
+    import scipy  # noqa: F401
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        try:
+            spec = importlib.util.spec_from_file_location(name, _flapack_path())
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except (ImportError, OSError):
+            pass
+        finally:
+            sys.modules.pop(name, None)
     from scipy.linalg import lapack
 
     return lapack
 
 
 def dpbtrf(*args, **kwargs):
-    """LAPACK dpbtrf; scipy is imported at the first call."""
+    """LAPACK dpbtrf from ``_lapack()``, loaded at the first call."""
     return _lapack().dpbtrf(*args, **kwargs)
 
 
 def dpbtrs(*args, **kwargs):
-    """LAPACK dpbtrs; scipy is imported at the first call."""
+    """LAPACK dpbtrs from ``_lapack()``, loaded at the first call."""
     return _lapack().dpbtrs(*args, **kwargs)
 
 
@@ -792,6 +850,7 @@ class _AdaptiveRun:
             self.note = "dt collapsed below dt_min without sup-norm growth"
 
     def finish(self) -> Trajectory:
+        F = self.problem.reaction
         return Trajectory(
             times=np.asarray(self.times),
             dts=np.asarray(self.dts),
@@ -801,6 +860,7 @@ class _AdaptiveRun:
             final_state=self.state,
             extras={k: np.asarray(v) for k, v in self.extras.items()},
             note=self.note,
+            blowup_exponent=F.p - 2.0 if F.kind == "power" else 1.0,
         )
 
 
@@ -874,9 +934,10 @@ class BlowupVerdict:
     note: str = ""
 
 
-def _reciprocal_fit(times: np.ndarray, sups: np.ndarray) -> float | None:
-    """Zero crossing of a linear fit to 1/sup(t); None when not decreasing."""
-    inv = 1.0 / np.maximum(sups, 1e-300)
+def _inverse_power_fit(times: np.ndarray, sups: np.ndarray, k: float) -> float | None:
+    """Zero crossing of a linear fit to sup(t)^-k; None when not decreasing.
+    The floor on sup keeps sup^-k at most 1e300."""
+    inv = np.maximum(sups, 1e-300 ** (1.0 / max(k, 1.0))) ** -k
     if len(times) < 2:
         return None
     slope, intercept = np.polyfit(times, inv, 1)
@@ -886,11 +947,15 @@ def _reciprocal_fit(times: np.ndarray, sups: np.ndarray) -> float | None:
 
 
 def detect_blowup(traj: Trajectory) -> BlowupVerdict:
-    """Estimate the blow-up time by extrapolating 1/sup to zero.
+    """Estimate the blow-up time by extrapolating sup^-k to zero, with
+    k = ``traj.blowup_exponent`` (p - 2 for a power reaction), the power
+    that falls linearly in time near a blow-up.
 
-    Uses the last ``BLOWUP_WINDOW`` samples; the confidence width is the
-    spread between the fits to the last BLOWUP_WINDOW and the last half of
-    them.  Runs that ended for other reasons (completed, dt collapse without
+    Uses the last ``BLOWUP_WINDOW`` samples.  ``ci_width`` is the spread
+    between the fits to the last BLOWUP_WINDOW and the last half of them:
+    it measures how well one power law fits the samples, not the
+    discretisation error of the scheme's blow-up time, which is larger.
+    Runs that ended for other reasons (completed, dt collapse without
     growth) yield kind "none".
     """
     if traj.status != "blowup":
@@ -898,7 +963,8 @@ def detect_blowup(traj: Trajectory) -> BlowupVerdict:
         return BlowupVerdict("none", note=note)
     sups = traj.overall_sup
     times = traj.times
-    t10, t5 = (_reciprocal_fit(times[-k:], sups[-k:]) for k in (BLOWUP_WINDOW, BLOWUP_WINDOW // 2))
+    k = traj.blowup_exponent
+    t10, t5 = (_inverse_power_fit(times[-n:], sups[-n:], k) for n in (BLOWUP_WINDOW, BLOWUP_WINDOW // 2))
     if t10 is None and t5 is None:
         return BlowupVerdict("blowup", float(times[-1]), math.inf, "extrapolation degenerate")
     if t10 is None or t5 is None:

@@ -282,6 +282,23 @@ def test_detect_blowup_reciprocal_samples():
     assert v.ci_width <= 1e-6
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_neumann_blowup_time_is_not_before_the_ode_time_from_the_last_sample(p):
+    """Under Neumann data the scheme's state stays below the constant state
+    through its sup norm (discrete comparison), and that state takes the
+    reaction explicitly, so it grows no faster than u' = u^(p-1).  So the
+    scheme blows up no earlier than that ODE from the last sample,
+    t + sup^-(p-2) / (p-2), and the fit of sup^-(p-2) keeps to it; the
+    fit of 1/sup, right only at p = 3, put T_b 0.033 before it at p = 2.5."""
+    P, tc = build_problem(make_preset("Pp_neumann", n=51, p=p))
+    traj = run(P, tc)
+    assert traj.status == "blowup"
+    assert traj.blowup_exponent == p - 2.0
+    v = detect_blowup(traj)
+    sup = traj.overall_sup[-1]
+    assert v.t_blowup >= traj.times[-1] + sup ** -(p - 2.0) / (p - 2.0)
+
+
 def test_detect_blowup_none_for_completed_and_failed():
     traj = Trajectory(
         times=np.asarray([0.0, 1.0]), dts=np.asarray([0.0, 1.0]),
@@ -1055,20 +1072,33 @@ def test_nan_slope_leaves_no_band_factors():
     assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is None
 
 
+def run_python(code: str):
+    """Run ``code`` in a fresh interpreter that imports mmrd from this
+    checkout, and return the JSON on its last line of stdout."""
+    src = str(Path(mmrd.stepper.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def test_1d_runs_import_no_scipy_and_2d_steps_do():
     """The 1D Newton matrix is solved in Python, so importing mmrd and its
-    CLI and running a 1D problem load no scipy module; the first 2D step
-    loads LAPACK from scipy."""
-    code = textwrap.dedent(
-        """
-        import json, sys
+    CLI and running a 1D problem load no scipy module.  The first 2D step
+    loads scipy's LAPACK extension from its file, and with it neither the
+    ``scipy.linalg`` package nor ``scipy.sparse``; a later import of
+    ``scipy.linalg.lapack`` still works and hands out the routines mmrd
+    called."""
+    code = """
+        import importlib.machinery, json, sys
         import numpy as np
         import mmrd, mmrd.cli
         from mmrd.graphs import zero_graph
         from mmrd.mesh import build_mesh
         from mmrd.reactions import zero_reaction
         from mmrd.scenarios import build_problem, make_preset
-        from mmrd.stepper import ProblemSpec, run, step
+        from mmrd.stepper import ProblemSpec, _lapack, run, step
 
         def scipy_modules():
             return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -1076,23 +1106,70 @@ def test_1d_runs_import_no_scipy_and_2d_steps_do():
         P, tc = build_problem(make_preset("Pp_power", n=21))
         status = run(P, tc).status
         after_1d = scipy_modules()
+        loaded_1d = _lapack.cache_info().currsize
         mesh = build_mesh(2, [1.0, 1.0], [5, 5])
         x, y = mesh.coords
         Q = ProblemSpec(mesh, (1.0,), zero_reaction(), (zero_graph(),), (zero_graph(),),
                         np.asarray([x + y]))
         step(Q, Q.initial_state(), 1e-2)
-        print(json.dumps([status, after_1d, scipy_modules()]))
+        after_2d = scipy_modules()
+        # dpbtrf/dpbtrs call the routines of the module that _lapack cached
+        lapack = _lapack()
+        used = [lapack.__name__, lapack.__file__.endswith(tuple(importlib.machinery.EXTENSION_SUFFIXES)),
+                loaded_1d, _lapack.cache_info().currsize]
+        import scipy.linalg.lapack
+        same = [scipy.linalg.lapack.dpbtrf is lapack.dpbtrf,
+                scipy.linalg.lapack.dpbtrs is lapack.dpbtrs,
+                scipy.linalg._flapack.dpbtrf is lapack.dpbtrf]
+        print(json.dumps([status, after_1d, after_2d, used, same]))
         """
-    )
-    src = str(Path(mmrd.stepper.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    status, after_1d, after_2d = json.loads(out.stdout.splitlines()[-1])
+    status, after_1d, after_2d, used, same = run_python(code)
     assert status == "blowup"
     assert after_1d == []
-    assert "scipy.linalg" in after_2d
+    assert "scipy" in after_2d
+    assert not [m for m in after_2d if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "sparse"])]
+    assert used == ["scipy.linalg._flapack", True, 0, 1]
+    assert same == [True, True, True]
+
+
+def test_2d_solve_falls_back_to_scipy_linalg_lapack_bitwise():
+    """When scipy's LAPACK extension file cannot be located, the 2D solve
+    takes the routines from ``scipy.linalg.lapack`` and gives the direct
+    load's results bit for bit."""
+    code = """
+        import json
+        import numpy as np
+        import mmrd.stepper
+        from mmrd.graphs import extended_power_graph, zero_graph
+        from mmrd.mesh import build_mesh
+        from mmrd.reactions import power_reaction
+        from mmrd.stepper import ProblemSpec, TimeControl, run
+
+        mesh = build_mesh(2, [1.0, 1.0], [21, 21])
+        x, y = mesh.coords
+        u0 = 3.0 * np.exp(-((x - 0.5) ** 2 + (y - 0.5) ** 2) / 0.01)
+        P = ProblemSpec(mesh, (1.0,), power_reaction(3.0), (zero_graph(),),
+                        (extended_power_graph(1.0, 2.5),), np.asarray([u0]))
+
+        def solve():
+            traj = run(P, TimeControl(t_end=0.01))
+            return [mmrd.stepper._lapack().__name__, len(traj.times),
+                    traj.final_state.tobytes().hex(), traj.sup_norms.tobytes().hex()]
+
+        direct = solve()
+
+        def nowhere():
+            raise ImportError("not found")
+
+        mmrd.stepper._lapack.cache_clear()
+        mmrd.stepper._flapack_path = nowhere
+        print(json.dumps([direct, solve()]))
+        """
+    direct, fallback = run_python(code)
+    assert direct[0] == "scipy.linalg._flapack"
+    assert fallback[0] == "scipy.linalg.lapack"
+    assert direct[1] > 5
+    assert direct[1:] == fallback[1:]
 
 
 def test_rerun_with_an_unrelated_run_between_is_bitwise_equal():
