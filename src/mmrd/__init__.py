@@ -13,7 +13,6 @@ from .compare import (
     ComparisonReport,
     blowup_order_experiment,
     check_assumptions,
-    ordering_defect,
     run_pair,
 )
 from .errors import ConfigurationError, SolverFailure
@@ -32,7 +31,7 @@ from .graphs import (
     yosida,
     zero_graph,
 )
-from .mesh import Mesh, build_mesh, integrate, positive_part_l2, sup_norm
+from .mesh import Mesh, build_mesh, integrate, sup_norm
 from .reactions import (
     Reaction,
     check_order_F,

@@ -161,7 +161,7 @@ def cmd_compare(args) -> int:
     report = assumptions
     if assumptions.passed:
         report = run_pair(p_sub, p_super, tc, assumptions=assumptions,
-                          observer=_nuclear_observer(p_sub))
+                          observers=(_nuclear_observer(p_sub), _nuclear_observer(p_super)))
         write_csv(report.traj_sub, out / "sub_trajectory.csv", stamp)
         write_csv(report.traj_super, out / "super_trajectory.csv", stamp)
     lines = report.summary_lines()

@@ -7,8 +7,9 @@ power laws), and ordered reactions on the symmetric state box, decided from
 the reactions' kinds and params (``reactions``); every kind meets the
 quasimonotone structure condition, so only its bound L_M is computed.
 ``run_pair`` then advances
-both problems on a shared time grid, through the same adaptive driver as
-``stepper.run``, and records the ordering defect
+both problems on a shared time grid, looping over the samples of the same
+adaptive driver as ``stepper.run``, with an observer per problem, and
+records at each sample the ordering defect
 
     d(t) = max_k sup (u1^k - u2^k)^+
 
@@ -39,7 +40,7 @@ from .errors import ConfigurationError
 from .graphs import DominationVerdict, dominates
 from .mesh import sup_norm
 from .reactions import OrderVerdict, check_order_F, lipschitz_bound
-from .stepper import ProblemSpec, TimeControl, Trajectory, _advance, detect_blowup, run
+from .stepper import ProblemSpec, TimeControl, Trajectory, _AdaptiveRun, _advance, detect_blowup, run
 
 __all__ = [
     "AssumptionReport",
@@ -47,7 +48,6 @@ __all__ = [
     "BlowupOrderResult",
     "check_assumptions",
     "run_pair",
-    "ordering_defect",
     "blowup_order_experiment",
 ]
 
@@ -200,21 +200,12 @@ class ComparisonReport:
         return lines
 
 
-def ordering_defect(S1: np.ndarray, S2: np.ndarray) -> float:
-    """max_k sup (u1^k - u2^k)^+ over the nodes."""
-    S1 = np.asarray(S1)
-    S2 = np.asarray(S2)
-    if S1.shape != S2.shape:
-        raise ConfigurationError(f"state shapes differ: {S1.shape} vs {S2.shape}")
-    return float(np.maximum(S1 - S2, 0.0).max())
-
-
 def run_pair(
     P1: ProblemSpec,
     P2: ProblemSpec,
     tc: TimeControl,
     assumptions: AssumptionReport | None = None,
-    observer=None,
+    observers=(None, None),
 ) -> ComparisonReport:
     """Co-evolve (P1 sub, P2 super) on a shared adaptive time grid.
 
@@ -224,8 +215,8 @@ def run_pair(
     minimum of their adaptive step proposals so every sample is taken at
     identical times.  Each run is classified as ``stepper.run`` would
     classify it, and both stop at t_end or at the first sample where either
-    blows up or fails.  ``observer`` (as in ``stepper.run``) is applied to
-    both runs.
+    blows up or fails.  ``observers`` = (sub, super) holds one observer
+    per run, as in ``stepper.run``.
     """
     if assumptions is None:
         assumptions = check_assumptions(P1, P2)
@@ -240,20 +231,20 @@ def run_pair(
     defects: list[float] = []
     energies: list[float] = []
 
-    def on_sample(S1: np.ndarray, S2: np.ndarray) -> None:
+    runs = [_AdaptiveRun(P, obs) for P, obs in zip((P1, P2), observers)]
+    for _ in _advance(runs, tc):
         # the defect and W from one positive part (u1 - u2)^+ of all components
-        pos = np.subtract(S1, S2)
+        pos = np.subtract(runs[0].state, runs[1].state)
         np.maximum(pos, 0.0, out=pos)
         defect = float(np.maximum.reduce(pos, axis=None))
         defects.append(defect)
         if defect == 0.0:
             energies.append(0.0)
-            return
+            continue
         pos *= pos
         pos *= weights
         energies.append(float(np.add.reduce(pos, axis=None)))
-
-    traj1, traj2 = _advance([P1, P2], tc, observer, on_sample)
+    traj1, traj2 = (r.finish() for r in runs)
     times = traj1.times
     dts = traj1.dts
     energies = np.asarray(energies)

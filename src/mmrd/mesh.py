@@ -8,7 +8,6 @@ discretization used throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -21,7 +20,6 @@ __all__ = [
     "build_mesh",
     "integrate",
     "sup_norm",
-    "positive_part_l2",
 ]
 
 
@@ -106,8 +104,3 @@ def integrate(mesh: Mesh, f: np.ndarray) -> float:
 
 def sup_norm(f: np.ndarray) -> float:
     return float(np.max(np.abs(f)))
-
-
-def positive_part_l2(mesh: Mesh, f: np.ndarray) -> float:
-    """Discrete L2 norm of max(f, 0)."""
-    return math.sqrt(integrate(mesh, np.square(np.maximum(f, 0.0))))

@@ -81,9 +81,9 @@ dt is halved when the nonlinear solve stalls, and a run terminates
 either at t_end or with a blow-up / solver-failure classification.
 
 One adaptive driver, ``_advance``, does this for any number of problems
-on a shared time grid: ``run`` applies it to one problem, and
-``compare.run_pair`` to a (sub, super) pair with an observer of the
-ordering defect.
+on a shared time grid and yields at every sample: ``run`` loops over it
+for one problem, and ``compare.run_pair`` for a (sub, super) pair, taking
+the ordering defect in the loop body.
 """
 
 from __future__ import annotations
@@ -794,7 +794,7 @@ def _extremes(S: np.ndarray) -> tuple[list[float], list[float]]:
 
 class _AdaptiveRun:
     """Bookkeeping for one problem advanced by ``_advance``, with the
-    problem's Newton workspace."""
+    problem's Newton workspace and its ``observer`` (as in ``run``)."""
 
     def __init__(self, P: ProblemSpec, observer=None):
         self.problem = P
@@ -864,23 +864,23 @@ class _AdaptiveRun:
         )
 
 
-def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[Trajectory]:
-    """Advance the problems on one shared adaptive time grid.
+def _advance(runs: list[_AdaptiveRun], tc: TimeControl):
+    """Advance the runs on one shared adaptive time grid, yielding t at
+    every sample, the initial one included, once every run has recorded it.
 
     Every attempt takes the smallest step any problem proposes (and no more
     than is left to t_end) and steps all problems in order; a
     ``SolverFailure`` in any of them halves dt for all.  A run goes on until
     t_end, a dt collapse, or a sample where some problem's state is
     non-finite or reaches the blow-up threshold, which ends every problem
-    at that sample.  ``on_sample(*states)`` is called
-    after each sample, the initial one included.  ``step`` and
+    at that sample.  The caller reads each run's ``state`` in the loop
+    body, may stop every run by leaving the loop, and then takes each
+    run's ``finish()``.  ``step`` and
     ``propose_dt`` are looked up as module globals at each call.
     """
-    runs = [_AdaptiveRun(P, observer) for P in problems]
     for r in runs:
         r.record(0.0, 0.0, r.problem.initial_state(), tc.blowup_threshold)
-    if on_sample is not None:
-        on_sample(*(r.state for r in runs))
+    yield 0.0
     t, dt_prev = 0.0, tc.dt_init
     stop = False
     while not stop and tc.t_end - t > tc.dt_min:
@@ -889,7 +889,7 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
             if dt < tc.dt_min:
                 for r in runs:
                     r.classify_collapse()
-                return [r.finish() for r in runs]
+                return
             try:
                 new = [step(r.problem, r.state, dt, workspace=r.workspace) for r in runs]
                 break
@@ -906,9 +906,7 @@ def _advance(problems, tc: TimeControl, observer=None, on_sample=None) -> list[T
                 r.status = "blowup"
                 r.note = f"sup norm reached the blow-up threshold {tc.blowup_threshold:g}"
                 stop = True
-        if on_sample is not None:
-            on_sample(*(r.state for r in runs))
-    return [r.finish() for r in runs]
+        yield t
 
 
 def run(P: ProblemSpec, tc: TimeControl, observer=None) -> Trajectory:
@@ -918,7 +916,10 @@ def run(P: ProblemSpec, tc: TimeControl, observer=None) -> Trajectory:
     step and collected into ``Trajectory.extras``.  Never raises across this
     boundary: failures are reported through ``Trajectory.status``.
     """
-    return _advance([P], tc, observer)[0]
+    r = _AdaptiveRun(P, observer)
+    for _ in _advance([r], tc):
+        pass
+    return r.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,38 @@ def test_cli_compare_nuclear_pair_csv_has_moments(tmp_path, monkeypatch):
             assert row == ",".join([f"{v:.12g}" for v in values] + [status])
 
 
+def test_cli_compare_writes_each_run_with_its_own_kaplan_moments(tmp_path):
+    """The super run's Kaplan moments come from the super's own reaction:
+    with a = 2 its z(0) is 2.5, not the sub's 1.5, and under a zero
+    reaction its y and z cells are empty.  The sub's CSV is the same in
+    every case."""
+    data = scenario_to_dict(make_preset("NR_pair_dirichlet_power", n=21, t_end=0.02))
+    data["pair"]["override_a4"] = True
+
+    def compare(name, reaction):
+        obj = json.loads(json.dumps(data))
+        if reaction is not None:
+            obj["pair"]["scenario"]["reaction"] = reaction
+        scen = tmp_path / f"{name}.json"
+        scen.write_text(json.dumps(obj), encoding="utf-8")
+        out = tmp_path / name
+        assert main(["compare", "--scenario", str(scen), "--out", str(out)]) == 0
+        return [(out / f"{side}_trajectory.csv").read_text().splitlines() for side in ("sub", "super")]
+
+    def cells(lines, column):
+        k = lines[1].split(",").index(column)
+        return [row.split(",")[k] for row in lines[2:-1]]
+
+    same_sub, same_super = compare("same", None)
+    assert cells(same_super, "z")[0] == "1.5"
+    a2_sub, a2_super = compare("a2", {"kind": "nuclear", "a": 2.0, "b": 1.0})
+    assert cells(a2_super, "z")[0] == "2.5" and cells(a2_super, "y")[0] == "1"
+    zero_sub, zero_super = compare("zero", {"kind": "zero"})
+    assert len(zero_super) == len(same_super) == 24
+    assert set(cells(zero_super, "y")) == set(cells(zero_super, "z")) == {""}
+    assert same_sub == a2_sub == zero_sub
+
+
 def test_cli_config_error_exit_1(tmp_path):
     scen = tmp_path / "bad.json"
     scen.write_text("{not json", encoding="utf-8")

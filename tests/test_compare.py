@@ -9,7 +9,6 @@ import mmrd.stepper
 from mmrd.compare import (
     blowup_order_experiment,
     check_assumptions,
-    ordering_defect,
     run_pair,
 )
 from mmrd.errors import ConfigurationError
@@ -20,7 +19,7 @@ from mmrd.graphs import (
     zero_graph,
 )
 from mmrd.mesh import build_mesh
-from mmrd.reactions import lipschitz_bound, power_reaction, zero_reaction
+from mmrd.reactions import lipschitz_bound, nuclear_reaction, power_reaction, zero_reaction
 from mmrd.spectral import principal_eigenpair
 from mmrd.stepper import ProblemSpec, TimeControl, run, step
 
@@ -77,13 +76,28 @@ def test_check_assumptions_incompatible_specs():
         check_assumptions(P1, P2)
 
 
-def test_ordering_defect_values():
-    S = np.zeros((2, 5))
-    assert ordering_defect(S, S) == 0.0
-    S2 = S.copy()
-    S2[1, 3] = -0.5  # super-solution dips below
-    assert ordering_defect(S, S2) == 0.5
-    assert ordering_defect(S2, S) == 0.0  # S2 <= S everywhere
+@pytest.mark.parametrize("c, t_end, status", [(1.0, 0.01, "completed"), (30.0, 1.0, "blowup")])
+def test_run_pair_defect_is_the_positive_part_of_each_sample(c, t_end, status):
+    """On a swapped two-component pair (Neumann sub, Dirichlet super, A3
+    and A4 overridden) the defect is positive in both components; it is
+    recorded once per sample, and the last one is max (u1 - u2)^+ of the
+    final states bit for bit, also when the sub ends at the blow-up
+    threshold."""
+
+    def problem(boundary):
+        mesh = build_mesh(1, [1.0], [31])
+        u0 = c * principal_eigenpair(mesh).phi1
+        return ProblemSpec(mesh, (1.0, 1.0), nuclear_reaction(1.0, 1.0), (zero_graph(),) * 2,
+                           (boundary,) * 2, np.stack([u0, u0]))
+
+    P1, P2 = problem(extended_neumann_graph()), problem(dirichlet_graph())
+    assumptions = check_assumptions(P1, P2, a3_apriori=True, a4_apriori=True)
+    rep = run_pair(P1, P2, TimeControl(t_end=t_end, blowup_threshold=1e3), assumptions=assumptions)
+    assert rep.traj_sub.status == status
+    excess = rep.traj_sub.final_state - rep.traj_super.final_state
+    assert np.all(excess.max(axis=1) > 0.1)
+    assert len(rep.defect) == len(rep.times) > 10
+    assert rep.defect[-1] == float(np.maximum(excess, 0.0).max())
 
 
 def test_run_pair_identical_specs_zero_defect():

@@ -10,7 +10,7 @@ import pytest
 
 from mmrd.errors import ConfigurationError
 from mmrd.graphs import dirichlet_graph, extended_neumann_graph, extended_power_graph, zero_graph
-from mmrd.mesh import Mesh, build_mesh, integrate, positive_part_l2, sup_norm
+from mmrd.mesh import Mesh, build_mesh, integrate, sup_norm
 from mmrd.reactions import zero_reaction
 from mmrd.stepper import ProblemSpec, step
 from oracles import oracle_apply_diffusion
@@ -79,10 +79,7 @@ def test_integrate_2d_tensorized():
 
 
 def test_norms():
-    mesh = build_mesh(1, [1.0], [11])
     assert sup_norm(np.array([-1.0, 2.0, -3.0])) == 3.0
-    assert positive_part_l2(mesh, -np.ones(11)) == 0.0
-    assert positive_part_l2(mesh, np.ones(11)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_apply_diffusion_linear_is_flat_interior():

@@ -537,7 +537,8 @@ def test_non_finite_step_is_clamped_then_observed_once(monkeypatch):
     """A step that returns inf, -inf and NaN ends the run as a blow-up at
     that sample.  The sample holds the state clamped to the blow-up
     threshold, and the observer sees each sample once, the last one
-    clamped."""
+    clamped.  A run that ends in a dt collapse also shows the observer
+    each recorded sample once, the last one being the final state."""
     thr = 1e3
     bad = np.zeros((2, 21))
     bad[0, 3], bad[0, 5], bad[1, 7], bad[1, 8] = np.inf, -np.inf, np.nan, -7.0
@@ -562,6 +563,22 @@ def test_non_finite_step_is_clamped_then_observed_once(monkeypatch):
     assert S is traj.final_state and np.array_equal(copy, clamped)
     assert traj.sup_norms[-1].tolist() == [thr, thr]
     assert traj.min_values[-1].tolist() == [-thr, -7.0]
+
+    def failing_step(P, S, dt, **kw):
+        calls.append(dt)
+        if len(calls) > 3:
+            raise SolverFailure("injected", 1.0)
+        return step(P, S, dt, **kw)
+
+    monkeypatch.setattr(mmrd.stepper, "step", failing_step)
+    calls.clear()
+    seen.clear()
+    traj = run(P, tc, observer=lambda t, S: seen.append((t, S, S.copy())) or {"t": t})
+    assert traj.status in ("blowup", "solver_failure") and "dt collapsed below dt_min" in traj.note
+    assert len(traj.times) == 4 and tc.dt_min <= calls[-1] < 2.0 * tc.dt_min
+    assert [t for t, _, _ in seen] == traj.times.tolist() == traj.extras["t"].tolist()
+    t, S, copy = seen[-1]
+    assert S is traj.final_state and np.array_equal(copy, S)
 
 
 def record_starts(monkeypatch):
@@ -725,8 +742,10 @@ def test_retry_after_solver_failure_extrapolates_with_the_halved_dt(monkeypatch)
         return step(R, S, dt, **kw)
 
     monkeypatch.setattr(mmrd.stepper, "step", failing_step)
-    trajs = mmrd.stepper._advance([P, Q], TimeControl(t_end=0.008))
-    assert all(traj.status == "completed" for traj in trajs)
+    runs = [mmrd.stepper._AdaptiveRun(R) for R in (P, Q)]
+    for _ in mmrd.stepper._advance(runs, TimeControl(t_end=0.008)):
+        pass
+    assert all(r.finish().status == "completed" for r in runs)
     dt = calls[0][2]
     assert [c[0] for c in calls[:fail + 2]] == [P, Q] * (fail // 2 + 1)
     assert all(c[2] == dt for c in calls[:fail]) and calls[fail][2] == calls[fail + 1][2] == 0.5 * dt
