@@ -2,7 +2,8 @@
 
 Exit codes:
     0  completed
-    1  configuration error (bad scenario, bad arguments)
+    1  configuration error (bad scenario, bad arguments or usage; scenario
+       numbers must be finite)
     2  blow-up detected (an expected terminal state, not an error)
     3  ordering violation in a comparison run
     4  assumption-check failure in a comparison run
@@ -227,8 +228,16 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigurationError, so
+    that they exit 1, not with argparse's 2, the code of a blow-up."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmrd",
         description="Reaction-diffusion runs with monotone-graph boundary laws: "
         "simulation, comparison checks and blow-up bounds.",
@@ -256,15 +265,14 @@ def main(argv=None) -> int:
            with_method=True)
     common(sub.add_parser("bound", help="existence horizon, Kaplan and Riccati bounds"))
 
-    args = parser.parse_args(argv)
-    handler = {
-        "run": cmd_run,
-        "compare": cmd_compare,
-        "eigen": cmd_eigen,
-        "bound": cmd_bound,
-    }[args.command]
     try:
-        return handler(args)
+        args = parser.parse_args(argv)
+        return {
+            "run": cmd_run,
+            "compare": cmd_compare,
+            "eigen": cmd_eigen,
+            "bound": cmd_bound,
+        }[args.command](args)
     except (ConfigurationError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

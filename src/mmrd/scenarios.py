@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -130,13 +131,14 @@ def _is_number(v) -> bool:
 
 
 def _as_number(v, path: str) -> float:
-    """v as a float; a JSON number only, not a bool, a string, null or NaN."""
+    """v as a finite float; a JSON number only, not a bool, a string, null
+    or NaN, and not an inf (json reads 1e400 and Infinity as one) or an
+    integer beyond the float range."""
     if not _is_number(v) or v != v:
         raise ConfigurationError(f"{path}: expected a number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigurationError(f"{path}: number out of range") from None
+    if abs(v) > sys.float_info.max:  # compared exactly, so no int overflows
+        raise ConfigurationError(f"{path}: number out of range")
+    return float(v)
 
 
 def _as_integer(v, path: str) -> int:

@@ -39,11 +39,13 @@ linear, so the Newton matrix I - diag(R') N / c changes only where the
 resolvent slope R' moves (the boundary rows, for a zero interior graph),
 and little between steps of equal dt.  The workspace therefore also keeps
 the matrix's factors across iterations and steps and uses them for chord
-steps (Kelley 2003, the chord and Shamanskii methods).  It refactors when
-dt changes, when a chord step lowers the residual by less than the factor
-``CHORD_RATE`` = 1/100, or when it does not lower it at all, unless the
+steps (Kelley 2003, the chord and Shamanskii methods).  The kept factors
+are the only record of whether they are valid: ``rescale`` drops them
+when dt changes, and so does a chord step that lowers the residual by
+less than the factor ``CHORD_RATE`` = 1/100, or not at all, unless the
 step started from an iterate that already passed the stopping test (the
-Newton step a predicted start is due), which left nothing to contract.  That factor
+Newton step a predicted start is due), which left nothing to contract.
+The solve factors whenever none are kept.  That factor
 is the one Hairer & Wanner (IV.8) advise for RADAU5's Jacobian reuse when
 Jacobians are costly: a 2D factorization costs about 12 to 20 banded
 solves (on the 41 x 41 mesh of the ``plate_2d`` benchmark, with one BLAS
@@ -93,7 +95,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -145,8 +147,10 @@ class ProblemSpec:
                 f"component mismatch: reaction has m={m}, got {len(self.diffusion)} diffusion "
                 f"coefficients, {len(self.interior)} interior and {len(self.boundary)} boundary graphs"
             )
-        if any(a <= 0 for a in self.diffusion):
-            raise ConfigurationError(f"diffusion coefficients must be > 0, got {self.diffusion}")
+        if not all(0 < a < math.inf for a in self.diffusion):
+            raise ConfigurationError(
+                f"diffusion coefficients must be finite and > 0, got {self.diffusion}"
+            )
         init = np.asarray(self.initial, dtype=float)
         if init.shape != (m,) + self.mesh.shape:
             raise ConfigurationError(
@@ -184,6 +188,8 @@ class TimeControl:
     safety: float = 0.1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ConfigurationError(f"time control values must be finite, got {self}")
         if self.t_end <= 0:
             raise ConfigurationError(f"t_end must be > 0, got {self.t_end}")
         if not 0 < self.dt_min <= self.dt_init:
@@ -448,9 +454,10 @@ class _Workspace:
     ``c``, the components' diagonals as an (m, 1) array, and ``groups``,
     the (node indices, resolvent at scale dt / c) of each group.
 
-    ``lu`` holds the factors of the stacked Newton matrix, made for the
-    diagonals ``key``; a ``key`` of None means they must be remade before
-    the next solve.  When the bandwidth is above 1 (a 2D mesh), ``ab`` is
+    ``lu`` holds the factors of the stacked Newton matrix, made at the
+    current dt, or None when they must be made before the next solve:
+    ``rescale`` drops them, and so does a chord step of ``_solve`` that
+    contracts too little.  When the bandwidth is above 1 (a 2D mesh), ``ab`` is
     the band buffer of ``_band_factor``, bw + 1 rows that hold the lower
     half of the symmetric system, then its Cholesky factor L, and once the
     factorization is done the upper band of L^T, from which the solves read;
@@ -471,9 +478,8 @@ class _Workspace:
     residual norms.
     """
 
-    __slots__ = ("problem", "m", "n", "axes", "plans", "bw", "ab", "weight", "lu", "key",
-                 "dt", "c", "cs", "coupling", "groups", "out", "diffs", "head", "steps",
-                 "scratch")
+    __slots__ = ("problem", "m", "n", "axes", "plans", "ab", "weight", "lu", "dt", "c",
+                 "coupling", "groups", "out", "diffs", "head", "steps", "scratch")
 
     def __init__(self, P: ProblemSpec):
         self.problem = P
@@ -488,28 +494,29 @@ class _Workspace:
                     group = (P.diffusion[k], plan.key)
                     plans.setdefault(group, (k, plan, []))[2].append(k * self.n + idx)
         self.plans = [(k, plan, np.sort(np.concatenate(idx))) for k, plan, idx in plans.values()]
-        self.bw = max(stride for stride, _, _ in self.axes)
+        bw = max(stride for stride, _, _ in self.axes)
         self.ab = self.weight = None
-        if self.bw > 1:
-            self.ab = np.empty((self.bw + 1, self.m * self.n), order="F")
+        if bw > 1:
+            self.ab = np.empty((bw + 1, self.m * self.n), order="F")
             self.weight = P.mesh.quad_weights.ravel() / math.prod(P.mesh.spacing)
-        self.lu = self.key = self.dt = self.out = None
+        self.lu = self.dt = self.out = None
         self.diffs = np.zeros((2 * PREDICTOR_CAP, self.m * self.n))
         self.head, self.steps = 0, ()
         self.scratch = np.empty(self.m * self.n)
 
     def rescale(self, dt: float) -> None:
-        """Make the per-dt setup for the step size dt."""
+        """Make the per-dt setup for the step size dt, and drop the kept
+        factors, which were made for another dt."""
         P = self.problem
         mus = [[a * dt / h**2 for h in P.mesh.spacing] for a in P.diffusion]
-        self.cs = tuple(1.0 + 2.0 * sum(mu) for mu in mus)
-        self.c = np.array(self.cs)[:, None]
+        cs = [1.0 + 2.0 * sum(mu) for mu in mus]
+        self.c = np.array(cs)[:, None]
         self.coupling = []
         for ax, (stride, up, down) in enumerate(self.axes):
             mu = np.array([row[ax] for row in mus])[:, None]
             self.coupling.append((stride, mu * up, mu * down))
-        self.groups = [(idx, plan.at(dt / self.cs[k])) for k, plan, idx in self.plans]
-        self.dt = dt
+        self.groups = [(idx, plan.at(dt / cs[k])) for k, plan, idx in self.plans]
+        self.dt, self.lu = dt, None
 
     def remember(self, S: np.ndarray, U: np.ndarray, dt: float) -> None:
         """Keep U = step(S, dt) as the state the next step may extrapolate
@@ -522,13 +529,6 @@ class _Workspace:
         np.subtract(U.reshape(-1), S.reshape(-1), out=d)
         self.diffs[head + PREDICTOR_CAP] = d
         self.out, self.steps = U, (dt,) + self.steps[:PREDICTOR_CAP - 1]
-
-
-def _worst(norms: list[float]) -> float:
-    """The largest of the norms (>= 0), or NaN when one is NaN, as numpy's
-    max gives it: their sum is NaN only then."""
-    total = sum(norms)
-    return max(norms) if total == total else total
 
 
 def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> np.ndarray:
@@ -557,22 +557,26 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     otherwise carry its error of up to SOLVE_TOL into every step of a
     decaying run.)  A component that has converged may take further steps
     while another finishes.  The factors in ``ws`` are reused while they
-    serve (a chord step), judged by the largest block residual: they are
-    remade when there are none, when some c changed (a new dt), after a
-    chord step that lowered max|Phi| by less than the factor ``CHORD_RATE``
-    (100x), and at once when a chord step did not lower max|Phi|; but not
-    for a step from an iterate that already passed the test, whose residual
-    may be rounding that no step lowers 100x.  (Judged by that step, the
-    1000 steps of the NR preset, whose starts are within rounding of the
-    solution once its initial layer has passed, refactored on every other
-    step.)  A pivot that is not finite and positive (in 2D, dpbtrf's
-    info != 0 or a non-finite pivot) leaves no factors, and so does a step
-    with fresh factors that does not lower max|Phi|: either is replaced by
-    the fixed-point step u <- R(q), a max-norm contraction.
+    serve (a chord step), judged by the largest block residual, the
+    NaN-propagating max of the block norms that ``resolve`` returns with
+    them.  ``ws.lu`` is None when there are none, which is how ``rescale``
+    marks a new dt, and the solve then factors at the current iterate.  It
+    sets ``ws.lu`` to None after a chord step that lowered max|Phi| by less
+    than the factor ``CHORD_RATE`` (100x), to refactor at the next iterate,
+    and after a chord step that did not lower max|Phi|, to refactor at this
+    one; but not for a step from an iterate that already passed the test,
+    whose residual may be rounding that no step lowers 100x.  (Judged by
+    that step, the 1000 steps of the NR preset, whose starts are within
+    rounding of the solution once its initial layer has passed, refactored
+    on every other step.)  A pivot that is not finite and positive (in 2D,
+    dpbtrf's info != 0 or a non-finite pivot) leaves no factors; then, as
+    after a step with fresh factors that does not lower max|Phi|, the
+    Newton step is replaced by the fixed-point step u <- R(q), a max-norm
+    contraction.
     Returns R itself, so every node lies in its graph domains exactly.
     """
     m, n = ws.m, ws.n
-    ab, c, cs = ws.ab, ws.c, ws.cs
+    ab, c = ws.ab, ws.c
     coupling, groups = ws.coupling, ws.groups
 
     scratch = ws.scratch
@@ -587,7 +591,9 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
             x[idx] = resolve_terms(x[idx], R)
         np.subtract(v, x, out=scratch)
         np.abs(scratch, out=scratch)
-        return x, np.maximum.reduce(blocks, axis=1).tolist()
+        norms = np.maximum.reduce(blocks, axis=1).tolist()
+        total = sum(norms)  # NaN only when a norm is, as numpy's max would give
+        return x, norms, max(norms) if total == total else total
 
     def converged(x, res_k):
         np.abs(x, out=scratch)
@@ -606,35 +612,28 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
             ws.lu = _tridiag_factor(sub[1:], sup[:-1])
         else:
             ws.lu = _band_factor(ab, ws.weight, slope, coupling, c)
-        ws.key = cs if ws.lu is not None else None
 
-    def solve(b):
-        return _tridiag_solve(ws.lu, b) if ab is None else _band_solve(ws.lu, b)
-
-    x, res_k = resolve(u)
-    res = _worst(res_k)
+    x, res_k, res = resolve(u)
     for it in range(MAX_ITER):
         if res != res or ((it or not predicted) and converged(x, res_k)):
             return x
-        fresh = ws.key != cs
+        fresh = ws.lu is None
         if fresh:
             factor(x)
-        if ws.key is not None:
-            v = u + solve(x - u)
-            x_v, res_v_k = resolve(v)
-            res_v = _worst(res_v_k)
+        if ws.lu is not None:
+            v = u + (_tridiag_solve if ab is None else _band_solve)(ws.lu, x - u)
+            x_v, res_v_k, res_v = resolve(v)
             if res_v < res:
                 if not fresh and res_v > CHORD_RATE * res and not converged(x, res_k):
-                    ws.key = None  # slow: refactor at the next iterate
+                    ws.lu = None  # slow: refactor at the next iterate
                 u, x, res_k, res = v, x_v, res_v_k, res_v
                 continue
             if not fresh:
                 if not converged(x, res_k):
-                    ws.key = None  # refactor at this iterate
+                    ws.lu = None  # refactor at this iterate
                 continue
         u = x
-        x, res_k = resolve(u)
-        res = _worst(res_k)
+        x, res_k, res = resolve(u)
     raise SolverFailure(
         f"semismooth Newton stalled: residual {res:.3e} after {MAX_ITER} iterations", res
     )

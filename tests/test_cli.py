@@ -109,18 +109,29 @@ def test_parse_reads_dim_as_an_integer():
     np.testing.assert_array_equal(build_problem(s2)[0].initial, build_problem(s1)[0].initial)
 
 
-@pytest.mark.parametrize("section, key", [("components", "diffusion"), ("time", "t_end")])
-def test_cli_scenario_with_nan_exit_1(tmp_path, capsys, section, key):
+# (section, key, value, message), the NaN cases under their first ids
+NON_FINITE_CASES = [
+    pytest.param(section, key, value, message,
+                 id=f"{section}-{key}" + ("" if value == "nan" else f"-{value}"))
+    for section, key in [("components", "diffusion"), ("time", "t_end")]
+    for value, message in [("nan", "expected a number, got nan"), ("inf", "number out of range"),
+                           ("-inf", "number out of range")]
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", NON_FINITE_CASES)
+def test_cli_scenario_with_nan_exit_1(tmp_path, capsys, section, key, value, message):
     # a NaN diffusion reported a false blow-up (exit 2), and a NaN t_end
-    # completed (exit 0) after no step
+    # completed (exit 0) after no step; an inf diffusion reported a blow-up,
+    # and an inf t_end never ended
     obj = json.loads(json.dumps(BASE))
     where = obj[section][0] if section == "components" else obj[section]
-    where[key] = float("nan")
+    where[key] = float(value)
     scen = tmp_path / "scenario.json"
-    scen.write_text(json.dumps(obj), encoding="utf-8")  # NaN, which json reads back
+    scen.write_text(json.dumps(obj), encoding="utf-8")  # NaN or Infinity, which json reads back
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 1
     path = "components[0]" if section == "components" else section
-    assert f"scenario.{path}.{key}: expected a number, got nan" in capsys.readouterr().err
+    assert f"scenario.{path}.{key}: {message}" in capsys.readouterr().err
 
 
 def test_parse_rejects_component_count_mismatch():
@@ -509,6 +520,20 @@ def test_cli_bad_files_exit_1(tmp_path, capsys, bad):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and where + ":" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["eigen", "--preset", "Pp_power", "--method", "spectral"], "invalid choice: 'spectral'"),
+], ids=["unknown_option", "no_command", "unknown_command", "bad_choice"])
+def test_cli_usage_error_exit_1(capsys, argv, message):
+    # argparse exits 2 on a usage error, the code of a detected blow-up
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mmrd") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_bad_params_json_exit_1(tmp_path, capsys):

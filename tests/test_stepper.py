@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import mmrd.graphs
 import mmrd.stepper
-from mmrd.errors import SolverFailure
+from mmrd.errors import ConfigurationError, SolverFailure
 from mmrd.graphs import (
     MonotoneGraph,
     dirichlet_graph,
@@ -185,6 +185,20 @@ def test_run_trivial_zero_solution():
     traj = run(P, TimeControl(t_end=0.1))
     assert traj.status == "completed"
     assert np.max(traj.sup_norms) == 0.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["t_end", "dt_init", "blowup_threshold", "safety", "diffusion"])
+def test_non_finite_time_control_or_diffusion_is_a_configuration_error(field, value):
+    # run() never raises, so these are refused where they are given: a NaN
+    # t_end completed after 0 steps, an inf one never ended, and a NaN or inf
+    # diffusion coefficient gave a non-finite state after one step of a
+    # decaying Dirichlet problem
+    with pytest.raises(ConfigurationError, match="finite"):
+        if field == "diffusion":
+            scalar_problem(boundary=dirichlet_graph(), a=value)
+        else:
+            TimeControl(**{"t_end": 0.1, field: value})
 
 
 def test_run_blowup_supercritical_dirichlet():
@@ -768,9 +782,11 @@ def test_factors_of_another_problem_still_reach_the_solution():
     primer = mmrd.stepper._Workspace(other)
     step(other, other.initial_state(), dt, workspace=primer)
     c = 1.0 + 2.0 * sum(dt / h**2 for h in P.mesh.spacing)
-    assert primer.key == (c,)  # the primed factors are the ones the solve starts from
+    # the primed factors are the ones the solve starts from
+    assert primer.dt == dt and primer.lu is not None and float(primer.c[0, 0]) == c
     workspace = mmrd.stepper._Workspace(P)
-    workspace.lu, workspace.key = primer.lu, primer.key
+    workspace.rescale(dt)
+    workspace.lu = primer.lu
     primed = step(P, P.initial_state(), dt, workspace=workspace)
     fresh = step(P, P.initial_state(), dt)
     # each state is within SOLVE_TOL * scale / (1 - kappa) of the exact one,
