@@ -18,19 +18,23 @@ which is what makes constant states exact equilibria, nonnegative data stay
 nonnegative, and ordered states stay ordered.
 
 Each run keeps one workspace per problem (``_Workspace``), built once: the
-stencil and the resolvent plans of the node classes, grouped across
-components where they agree.  Per dt it only rescales them, and dt is
-unchanged on most steps.  It also keeps the differences between the last
-accepted states, at most ``PREDICTOR_CAP`` = 5, and each Newton solve
-starts from the polynomial through the current state and the states
-behind it, evaluated at the new time, not from the old state (Hairer &
-Wanner, Solving ODEs II, 2nd ed., IV.8, on starting values; the
-variable-order predictor of DASSL, Brenan, Campbell & Petzold 1996).  In
-Newton's divided-difference form its series is cut before the first term
-that is zero or not smaller in max norm than the term before it, so a
-kink or a change of regime lowers the order (``_extrapolate``).  On a
-smooth stretch the first residual is then O(dt^(k+1)) at order k, not
-O(dt), and fewer chord solves finish the step: on the ``plate_2d``
+stencil, the resolvent plans of the node classes, grouped across
+components where they agree, and a zero-padded buffer with one row per
+component.  Fixed views of that buffer one stride ahead and one behind
+give N u from whole-array products and sums, with no slicing per call
+(``_neighbour_sum``); each component is padded on its own, so no node
+reads another component's values.  Per dt it only rescales the weights
+and plans, and dt is unchanged on most steps.  It also keeps the
+differences between the last accepted states, at most ``PREDICTOR_CAP`` =
+5, and each Newton solve starts from the polynomial through the current
+state and the states behind it, evaluated at the new time, not from the
+old state (Hairer & Wanner, Solving ODEs II, 2nd ed., IV.8, on starting
+values; the variable-order predictor of DASSL, Brenan, Campbell & Petzold
+1996).  In Newton's divided-difference form its series is cut before the
+first term that is zero or not smaller in max norm than the term before
+it, so a kink or a change of regime lowers the order (``_extrapolate``).
+On a smooth stretch the first residual is then O(dt^(k+1)) at order k,
+not O(dt), and fewer chord solves finish the step: on the ``plate_2d``
 benchmark (seed 1) a round takes 107 band solves with the cap 5, against
 194 from a quadratic start and 162, 136 and 109 with caps 3, 4 and 6, so
 the count saturates at 5.  The start changes the path of the solve, never
@@ -321,12 +325,22 @@ def dpbtrs(*args, **kwargs):
     return _lapack().dpbtrs(*args, **kwargs)
 
 
-def _add_neighbours(q: np.ndarray, v: np.ndarray, coupling) -> None:
-    """Add N v to q in place, both (m, n), with N the neighbour weights
-    ``coupling`` ((stride, up, down) per axis)."""
-    for s, up, down in coupling:
-        q[:, :-s] += up[:, :-s] * v[:, s:]
-        q[:, s:] += down[:, s:] * v[:, :-s]
+def _neighbour_sum(base: np.ndarray, v: np.ndarray, inner: np.ndarray, coupling) -> np.ndarray:
+    """base + N v as a new (m, n) array, base (m, n) and v of m * n nodes,
+    with N the neighbour weights of ``coupling`` ((stride, up, down, ahead,
+    behind) per axis, see ``_Workspace``): v is copied into ``inner``, the
+    nodes of the workspace's padded buffer, and each axis adds up * ahead,
+    then down * behind.  The terms come in the order of a sum over slices
+    that skips the missing neighbours, and past the ends of a component's
+    nodes the views read its own padding's zeros, weighed by 0, so the sum
+    equals that one value for value, and a NaN or inf in one component
+    never reaches another's."""
+    inner[...] = v.reshape(inner.shape)
+    q = base.copy()
+    for _, up, down, ahead, behind in coupling:
+        q += up * ahead
+        q += down * behind
+    return q
 
 
 def _tridiag_factor(sub: np.ndarray, sup: np.ndarray):
@@ -363,12 +377,12 @@ def _tridiag_solve(factors, b: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling, c: np.ndarray):
+def _band_factor(ws: _Workspace, slope: np.ndarray):
     """Factor the Newton matrix A = I - diag(slope) N / c of the stacked
-    components, slope and the (stride, up, down) weights of N on (m, n)
-    arrays, c (m, 1), by banded Cholesky of an equivalent symmetric system.
+    components, slope (m, n) and N and c those of the workspace ``ws`` at
+    its dt, by banded Cholesky of an equivalent symmetric system.
 
-    With W the trapezoid node weights ``weight`` (relative to the
+    With W the trapezoid node weights ``ws.weight`` (relative to the
     interior's), K = W N is symmetric.  Write D = diag(slope) and C for the
     clipped nodes (D = 0), where A's row is e_p.  On the other nodes put
     E = D^1/2 and x = E z; then A x = b becomes M z = W E^-1 b~ with
@@ -380,7 +394,7 @@ def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling
     1e-308 gave a NaN solution, and a subnormal one left no factors.)  The
     clipped nodes get the rows and columns of the identity, z = x = b there.
 
-    M's lower half is assembled in the buffer ``ab`` of bw + 1 rows and
+    M's lower half is assembled in the buffer ``ws.ab`` of bw + 1 rows and
     factored there by dpbtrf into L L^T.  (Not the upper half: with
     OpenBLAS 0.3.31 on two cores, dpbtrf took 4x as long on it when BLAS
     could use both threads, and no longer on the lower half.)  L is then
@@ -400,13 +414,14 @@ def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling
     dpbtrf's info != 0, or a NaN or inf that it passed on, as a NaN slope
     gives.
     """
+    ab, weight, coupling, c = ws.ab, ws.weight, ws.coupling, ws.c
     clipped = slope == 0.0
     scale = np.sqrt(slope)  # x = scale * z, once the clipped nodes get 1
     # lower band storage: entry (p + s, p) = (p, p + s) in row s, column p
     ab[0] = np.where(clipped, 1.0, weight).reshape(-1)
     ab[1:] = 0.0
     flat = scale.reshape(-1)
-    for s, up, _ in coupling:
+    for s, up, *_ in coupling:
         ab[s, :-s] = (scale * weight * up / -c).reshape(-1)[:-s] * flat[s:]
     scale[clipped] = 1.0
     rows = weight / scale  # M z = rows * b~
@@ -421,7 +436,10 @@ def _band_factor(ab: np.ndarray, weight: np.ndarray, slope: np.ndarray, coupling
         row = chol[s].copy()
         chol[s, t:] = chol[t, :size - t]
         chol[t, s:] = row[:size - s]
-    correction = (clipped, slope / c, coupling) if clipped.any() else None
+    # the correction holds ws's buffer and weights, not ws: ws.lu holds the
+    # factors, and that cycle would keep a finished run's workspace alive
+    # until the cyclic garbage collector found it
+    correction = (clipped, slope / c, ws.inner, coupling) if clipped.any() else None
     return chol, scale.reshape(-1), rows.reshape(-1), correction
 
 
@@ -432,9 +450,9 @@ def _band_solve(factors, b: np.ndarray) -> np.ndarray:
     nodes)."""
     chol, scale, rows, correction = factors
     if correction is not None:
-        clipped, gain, coupling = correction
-        q = np.zeros(gain.shape)
-        _add_neighbours(q, np.where(clipped, b.reshape(gain.shape), 0.0), coupling)
+        clipped, gain, inner, coupling = correction
+        q = _neighbour_sum(np.zeros(gain.shape), np.where(clipped, b.reshape(gain.shape), 0.0),
+                           inner, coupling)
         b = b + (gain * q).reshape(-1)
     return scale * dpbtrs(chol, rows * b, lower=0, overwrite_b=1)[0]
 
@@ -444,13 +462,21 @@ class _Workspace:
     time steps.
 
     The m components are stacked into one vector of m * n nodes, component
-    by component.  Set up once: the stencil, and the node classes of all
+    by component.  Set up once: the stencil, the node classes of all
     components grouped by the ``ResolventPlan`` of their (interior,
     boundary) pair, with unit weights 1 and the class's boundary flux, and
     by diffusion coefficient, so that each group is resolved in one
-    ``resolve_terms`` call; classes whose plan is the identity need no call
-    and are left out.  Set up per dt by ``rescale``: ``coupling``, the
-    (stride, up, down) neighbour weights of each axis on (m, n) arrays,
+    ``resolve_terms`` call (classes whose plan is the identity need no call
+    and are left out), and the padded buffer of ``_neighbour_sum``: an
+    (m, n + 2 bw) array of zeros, bw the largest stride, whose row k holds
+    component k's nodes between bw zeros on either side.  ``inner`` is the
+    view of those nodes, and ``axes`` holds per axis the stencil's
+    (stride, up, down) with two fixed views of the buffer, ``ahead`` and
+    ``behind``, the nodes shifted one stride on and one back.  Every row is
+    padded on its own, so a view reads only zeros past the ends of its
+    component's nodes, where up or down is 0.  Set up per dt by
+    ``rescale``: ``coupling``, the (stride, up, down, ahead, behind) of each
+    axis with up and down scaled to the neighbour weights on (m, n) arrays,
     ``c``, the components' diagonals as an (m, 1) array, and ``groups``,
     the (node indices, resolvent at scale dt / c) of each group.
 
@@ -478,13 +504,18 @@ class _Workspace:
     residual norms.
     """
 
-    __slots__ = ("problem", "m", "n", "axes", "plans", "ab", "weight", "lu", "dt", "c",
+    __slots__ = ("problem", "m", "n", "axes", "inner", "plans", "ab", "weight", "lu", "dt", "c",
                  "coupling", "groups", "out", "diffs", "head", "steps", "scratch")
 
     def __init__(self, P: ProblemSpec):
         self.problem = P
         self.m, self.n = P.m, math.prod(P.mesh.shape)
-        self.axes, node_classes = _stencil(P.mesh)
+        axes, node_classes = _stencil(P.mesh)
+        bw = max(stride for stride, _, _ in axes)
+        pad = np.zeros((self.m, self.n + 2 * bw))
+        self.inner = pad[:, bw:bw + self.n]
+        self.axes = [(s, up, down, pad[:, bw + s:bw + s + self.n], pad[:, bw - s:bw - s + self.n])
+                     for s, up, down in axes]
         plans: dict = {}
         for k in range(P.m):
             for w, idx in node_classes:
@@ -494,7 +525,6 @@ class _Workspace:
                     group = (P.diffusion[k], plan.key)
                     plans.setdefault(group, (k, plan, []))[2].append(k * self.n + idx)
         self.plans = [(k, plan, np.sort(np.concatenate(idx))) for k, plan, idx in plans.values()]
-        bw = max(stride for stride, _, _ in self.axes)
         self.ab = self.weight = None
         if bw > 1:
             self.ab = np.empty((bw + 1, self.m * self.n), order="F")
@@ -512,9 +542,9 @@ class _Workspace:
         cs = [1.0 + 2.0 * sum(mu) for mu in mus]
         self.c = np.array(cs)[:, None]
         self.coupling = []
-        for ax, (stride, up, down) in enumerate(self.axes):
+        for ax, (stride, up, down, ahead, behind) in enumerate(self.axes):
             mu = np.array([row[ax] for row in mus])[:, None]
-            self.coupling.append((stride, mu * up, mu * down))
+            self.coupling.append((stride, mu * up, mu * down, ahead, behind))
         self.groups = [(idx, plan.at(dt / cs[k])) for k, plan, idx in self.plans]
         self.dt, self.lu = dt, None
 
@@ -534,7 +564,10 @@ class _Workspace:
 def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> np.ndarray:
     """Semismooth Newton on Phi(u) = u - R((rhs + N u) / c) for all
     components at once, on the stacked vector of ``ws``, from the start u;
-    ``rhs`` is (m, n).
+    ``rhs`` is (m, n).  The residual map copies the iterate into the padded
+    buffer of ``ws`` once and forms rhs + N u from the fixed views of it
+    (``_neighbour_sum``, which the band solve's clipped-node correction
+    also calls), then divides by c.
 
     The reaction is frozen within a step, so the components decouple: the
     generalised Jacobian I - diag(R') N / c is block diagonal, one strictly
@@ -577,14 +610,13 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
     """
     m, n = ws.m, ws.n
     ab, c = ws.ab, ws.c
-    coupling, groups = ws.coupling, ws.groups
+    inner, coupling, groups = ws.inner, ws.coupling, ws.groups
 
     scratch = ws.scratch
     blocks = scratch.reshape(m, n)
 
     def resolve(v):
-        q = rhs.copy()
-        _add_neighbours(q, v.reshape(m, n), coupling)
+        q = _neighbour_sum(rhs, v, inner, coupling)
         q /= c
         x = q.reshape(-1)
         for idx, R in groups:
@@ -607,11 +639,11 @@ def _solve(ws: _Workspace, u: np.ndarray, rhs: np.ndarray, predicted: bool) -> n
         slope = slope.reshape(m, n)
         if ab is None:
             # row p, flattened: up[p] weighs node p + 1, down[p] node p - 1
-            ((_, up, down),) = coupling
+            ((_, up, down, _, _),) = coupling
             sup, sub = (slope * up / -c).reshape(-1), (slope * down / -c).reshape(-1)
             ws.lu = _tridiag_factor(sub[1:], sup[:-1])
         else:
-            ws.lu = _band_factor(ab, ws.weight, slope, coupling, c)
+            ws.lu = _band_factor(ws, slope)
 
     x, res_k, res = resolve(u)
     for it in range(MAX_ITER):
@@ -699,9 +731,10 @@ def _extrapolate(S: np.ndarray, dt: float, ws: _Workspace) -> np.ndarray:
         return S
     j, head = len(steps), ws.head
     weights, diffs = _newton_weights(dt, steps), ws.diffs[head:head + j]
-    # einsum makes no BLAS call, and 1D runs make none: a process's first gemm
-    # adds 0.25-0.5 MB to its peak resident memory.  2D runs call LAPACK anyway,
-    # and there @ takes a quarter of einsum's time (6% of a plate_2d round).
+    # einsum makes no BLAS call, and 1D runs make none (the blow-up fit is in
+    # closed form too): a process's first gemm adds 0.25-0.5 MB to its peak
+    # resident memory.  2D runs call LAPACK anyway, and there @ takes a
+    # quarter of einsum's time (6% of a plate_2d round).
     rows = weights @ diffs if ws.ab is not None else np.einsum("ij,jk->ik", weights, diffs)
     terms = rows[:j]
     sizes = np.maximum.reduce(np.abs(terms, out=terms), axis=1).tolist()
@@ -935,15 +968,24 @@ class BlowupVerdict:
 
 
 def _inverse_power_fit(times: np.ndarray, sups: np.ndarray, k: float) -> float | None:
-    """Zero crossing of a linear fit to sup(t)^-k; None when not decreasing.
-    The floor on sup keeps sup^-k at most 1e300."""
-    inv = np.maximum(sups, 1e-300 ** (1.0 / max(k, 1.0))) ** -k
+    """Zero crossing of the least-squares line through (t, sup(t)^-k); None
+    when it is not decreasing or the times do not spread.  The floor on sup
+    keeps sup^-k at most 1e300.
+
+    The line comes in closed form from sums about the means tm and ym: its
+    slope is sum (t - tm)(y - ym) / sum (t - tm)^2, and it crosses zero at
+    tm - ym / slope.  That makes no LAPACK least-squares call, as
+    ``np.polyfit`` does, so 1D runs call no BLAS or LAPACK routine at all."""
     if len(times) < 2:
         return None
-    slope, intercept = np.polyfit(times, inv, 1)
-    if slope >= 0:
+    ts = times.tolist()
+    inv = (np.maximum(sups, 1e-300 ** (1.0 / max(k, 1.0))) ** -k).tolist()
+    tm, ym = sum(ts) / len(ts), sum(inv) / len(inv)
+    spread = sum((t - tm) * (t - tm) for t in ts)
+    cov = sum((t - tm) * (y - ym) for t, y in zip(ts, inv))
+    if not (spread > 0.0 and cov < 0.0):
         return None
-    return float(-intercept / slope)
+    return tm - ym / (cov / spread)
 
 
 def detect_blowup(traj: Trajectory) -> BlowupVerdict:

@@ -312,6 +312,23 @@ def test_power_sum_root_where_beta_times_t_overflows():
     assert got == pytest.approx(2.154434690031884e-187, rel=1e-12, abs=0.0)  # 10^(1/3) 1e-187
 
 
+_EXPONENTS = st.sampled_from([2.5, 3.0]) | st.floats(1.01, 4.0)
+_COEFFICIENTS = _log_uniform(-12, 6) | st.floats(1e-12, 1e6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    powers=st.lists(st.tuples(_COEFFICIENTS, _EXPONENTS), min_size=2, max_size=3),
+    t=st.just(0.0) | _log_uniform(-300, 12) | st.floats(1e-300, 1e12),
+)
+def test_power_sum_root_matches_oracle(powers, t):
+    # sums of 2-3 power laws, where a boundary law meets an interior one; the
+    # oracle sums the terms in Python floats, which overflow beyond t = 1e12
+    got = graphs._power_sum_root(np.array([t]), powers)[0]
+    expect = oracle_resolve_terms([(beta, power_graph(1.0, q)) for beta, q in powers], t, tol=0.0)
+    assert got == pytest.approx(expect, rel=1e-12, abs=sys.float_info.min)
+
+
 class _CountingNumpy:
     """numpy, counting the calls of ``abs``, which the loop of
     ``_power_sum_root``, where ``_power_root`` sends these q, makes once per

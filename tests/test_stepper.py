@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -324,6 +325,49 @@ def test_detect_blowup_none_for_completed_and_failed():
     traj.note = "dt collapsed below dt_min without sup-norm growth"
     v = detect_blowup(traj)
     assert v.kind == "none" and "dt collapsed" in v.note
+
+
+def _polyfit_crossing(times, sups, k):
+    """The zero crossing of ``np.polyfit``'s line through (t, sup^-k), as
+    ``_inverse_power_fit`` took it before it fitted in closed form."""
+    inv = np.maximum(sups, 1e-300 ** (1.0 / max(k, 1.0))) ** -k
+    slope, intercept = np.polyfit(times, inv, 1)
+    return None if slope >= 0 else float(-intercept / slope)
+
+
+@pytest.mark.parametrize("name,p", [("Pp_dirichlet", 3.0), ("Pp_neumann", 2.5), ("Pp_power", 4.0),
+                                    ("PF_power", 3.0)])
+def test_detect_blowup_fits_without_lapack(monkeypatch, name, p):
+    """The blow-up fit is the least-squares line of ``np.polyfit``, to
+    rounding, made without it or any other LAPACK least-squares call."""
+    P, tc = build_problem(make_preset(name, n=51, p=p))
+    traj = run(P, tc)
+    assert traj.status == "blowup"
+    k, window = traj.blowup_exponent, mmrd.stepper.BLOWUP_WINDOW
+    t10, t5 = (_polyfit_crossing(traj.times[-n:], traj.overall_sup[-n:], k)
+               for n in (window, window // 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    v = detect_blowup(traj)
+    assert (v.kind, v.note) == ("blowup", "")
+    assert v.t_blowup == pytest.approx(t10, rel=1e-12)
+    assert v.ci_width == pytest.approx(abs(t10 - t5), abs=1e-12 * t10)
+
+
+def test_blowup_fit_of_times_that_do_not_spread_is_degenerate():
+    """Equal times give no line, and no RuntimeWarning on the way."""
+    flat = Trajectory(times=np.full(12, 0.5), dts=np.zeros(12),
+                      sup_norms=np.arange(1.0, 13.0)[:, None], min_values=np.zeros((12, 1)),
+                      status="blowup", final_state=np.zeros((1, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = detect_blowup(flat)
+    assert (v.kind, v.t_blowup, v.ci_width) == ("blowup", 0.5, math.inf)
+    assert v.note == "extrapolation degenerate"
 
 
 def test_local_existence_horizon_values():
@@ -975,7 +1019,7 @@ def test_band_factor_and_solve_match_dense_solve():
     dt = 0.05
     P, ws, slope = clipped_plate_workspace(dt)
     A = dense_newton_matrix(P, dt, slope)
-    factors = mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c)
+    factors = mmrd.stepper._band_factor(ws, slope)
     assert factors is not None
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -1016,7 +1060,7 @@ def test_assembled_band_is_lower_half_of_symmetrized_newton_matrix(monkeypatch):
         return original(ab, **kw)
 
     monkeypatch.setattr(mmrd.stepper, "dpbtrf", recording)
-    assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is not None
+    assert mmrd.stepper._band_factor(ws, slope) is not None
     (band,) = bands
     bw = band.shape[0] - 1
     assert bw == P.mesh.shape[1]
@@ -1046,7 +1090,7 @@ def test_band_factors_are_the_upper_band_of_the_transposed_factor_in_place(monke
         return original(ab, b, **kw)
 
     monkeypatch.setattr(mmrd.stepper, "dpbtrs", recording)
-    factors = mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c)
+    factors = mmrd.stepper._band_factor(ws, slope)
     assert factors is not None
     mmrd.stepper._band_solve(factors, np.ones(ws.m * ws.n))
     ((band, kw),) = calls
@@ -1086,7 +1130,7 @@ def test_band_factor_and_solve_match_dense_solve_for_any_slopes(counts, m, log_m
     ws.rescale(1.0)
     slope = data.draw(arrays(np.float64, (m, ws.n), elements=unit_floats))
     b = data.draw(arrays(np.float64, m * ws.n, elements=st.floats(-1e3, 1e3)))
-    factors = mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c)
+    factors = mmrd.stepper._band_factor(ws, slope)
     assert factors is not None
     got = mmrd.stepper._band_solve(factors, b.copy())
     A = dense_newton_matrix(P, 1.0, slope)
@@ -1102,9 +1146,68 @@ def test_nan_slope_leaves_no_band_factors():
     """A NaN slope (as a non-finite iterate gives) makes dpbtrf's info != 0,
     which leaves no factors, as in 1D."""
     _, ws, slope = clipped_plate_workspace()
-    assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is not None
+    assert mmrd.stepper._band_factor(ws, slope) is not None
     slope[1, 17] = np.nan
-    assert mmrd.stepper._band_factor(ws.ab, ws.weight, slope, ws.coupling, ws.c) is None
+    assert mmrd.stepper._band_factor(ws, slope) is None
+
+
+def reference_neighbour_sum(q, v, coupling):
+    """Add N v to q in place, both (m, n), with N the (stride, up, down)
+    weights of ``coupling`` per axis, by slices: the neighbour sum as the
+    solve took it before it read fixed views of a padded buffer."""
+    for s, up, down in coupling:
+        q[:, :-s] += up[:, :-s] * v[:, s:]
+        q[:, s:] += down[:, s:] * v[:, :-s]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    counts=st.tuples(st.integers(3, 60)) | st.tuples(st.integers(3, 9), st.integers(3, 9)),
+    m=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_neighbour_sum_is_the_slice_formula_bit_for_bit(counts, m, data):
+    """``_neighbour_sum``, which the residual map and the band solve's
+    clipped-node correction share, adds the terms of the slice formula in
+    its order, on 1D and 2D meshes, for m = 1 and 2 and any diffusion
+    coefficients and dt: the same bits, but for the sign of a zero (a -0.0
+    where the slices add nothing becomes 0.0, as the views add 0.0 there;
+    adding 0.0 to both sides before comparing makes that one change).  A
+    NaN or inf in one component's iterate gives that component the slice
+    formula's sum, NaNs included, and leaves every other component's sum
+    as it was."""
+    dim = len(counts)
+    mesh = build_mesh(dim, [1.0] * dim, list(counts))
+    diffusion = tuple(data.draw(st.floats(1e-3, 1e3)) for _ in range(m))
+    dt = data.draw(st.floats(1e-6, 1.0))
+    P = ProblemSpec(mesh, diffusion, zero_reaction(m), (zero_graph(),) * m, (zero_graph(),) * m,
+                    np.zeros((m,) + mesh.shape))
+    ws = mmrd.stepper._Workspace(P)
+    ws.rescale(dt)
+    axes, _ = mmrd.stepper._stencil(mesh)
+    coupling = []
+    for (s, up, down), h in zip(axes, mesh.spacing):
+        mu = np.array([[a * dt / h**2] for a in diffusion])
+        coupling.append((s, mu * up, mu * down))
+    base = data.draw(arrays(np.float64, (m, ws.n), elements=st.floats(-1e3, 1e3)))
+    v = data.draw(arrays(np.float64, m * ws.n, elements=st.floats(-1e3, 1e3)))
+
+    def both(v):
+        expect = base.copy()
+        reference_neighbour_sum(expect, v.reshape(m, ws.n), coupling)
+        got = mmrd.stepper._neighbour_sum(base, v, ws.inner, ws.coupling)
+        return got, (got + 0.0).tobytes() == (expect + 0.0).tobytes()
+
+    clean, same = both(v)
+    assert same
+    k = data.draw(st.integers(0, m - 1))
+    node = data.draw(st.integers(0, ws.n - 1))
+    v[k * ws.n + node] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with np.errstate(invalid="ignore"):
+        got, same = both(v)
+    assert same
+    others = np.arange(m) != k
+    assert got[others].tobytes() == clean[others].tobytes()
 
 
 def run_python(code: str):
